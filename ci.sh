@@ -17,6 +17,11 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test"
 cargo test --workspace --release -q
 
+echo "==> benchmark build and tests (perfbench is its own workspace)"
+# Compiles the benchmark against the current crates, so an API change
+# that would break it fails here rather than at benchmark time.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> property check (svtox-check differential oracles)"
 # Replays tests/corpus/ first (if any .case files exist), then fresh cases.
 # A property violation exits non-zero with the shrunk counterexample.

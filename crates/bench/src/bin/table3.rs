@@ -3,7 +3,7 @@
 //! penalties across the benchmark suite.
 
 use svtox_bench::{default_library, ua, x_factor, BenchArgs, Instance};
-use svtox_core::{DelayPenalty, Mode};
+use svtox_core::{DelayPenalty, ExecConfig, Mode};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -27,8 +27,9 @@ fn main() {
                 .expect("heuristic1 runs");
             let h2 = problem
                 .optimizer(penalty, Mode::Proposed)
-                .heuristic2(args.h2_budget)
-                .expect("heuristic2 runs");
+                .heuristic2(&ExecConfig::serial().with_time_budget(args.h2_budget))
+                .expect("heuristic2 runs")
+                .0;
             if i == 0 {
                 h1_5s = format!("{:.1}", h1.runtime.as_secs_f64());
             }

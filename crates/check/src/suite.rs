@@ -79,7 +79,9 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     Problem::new(&n, &lib, TimingConfig::default()).map_err(|e| e.to_string())?;
                 let penalty = opt_config.delay_penalty();
                 let opt = problem.optimizer(penalty, opt_config.mode);
-                let exact = opt.exact(12).map_err(|e| format!("exact: {e}"))?;
+                let (exact, _) = opt
+                    .exact(12, &svtox_core::ExecConfig::serial())
+                    .map_err(|e| format!("exact: {e}"))?;
                 let h1 = opt.heuristic1().map_err(|e| format!("heuristic1: {e}"))?;
                 exact
                     .verify(&problem)
@@ -121,7 +123,7 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
         ));
     }
 
-    // --- Serial vs parallel bit-identity. ------------------------------
+    // --- One worker vs several: bit-identity. ---------------------------
     if wanted("opt.parallel_bit_identity") {
         let strategy = (DagStrategy::small(), choice(&[2usize, 3, 4]));
         reports.push(check_property(
@@ -135,28 +137,22 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::DelayPenalty::five_percent(),
                     svtox_core::Mode::Proposed,
                 );
+                let one = svtox_core::ExecConfig::serial();
                 let exec = svtox_core::ExecConfig::with_threads(*threads);
-                let serial = opt.exact(12).map_err(|e| e.to_string())?;
-                let (parallel, _) = opt.exact_parallel(12, &exec).map_err(|e| e.to_string())?;
-                if parallel.vector != serial.vector
-                    || parallel.choices != serial.choices
-                    || parallel.leakage != serial.leakage
-                    || parallel.delay != serial.delay
-                {
+                let (reference, _) = opt.exact(12, &one).map_err(|e| e.to_string())?;
+                let (parallel, _) = opt.exact(12, &exec).map_err(|e| e.to_string())?;
+                if !parallel.same_assignment(&reference) {
                     return Err(format!(
-                        "exact_parallel({threads}) diverged: {} vs serial {}",
-                        parallel.leakage, serial.leakage
+                        "exact({threads} threads) diverged: {} vs 1 thread {}",
+                        parallel.leakage, reference.leakage
                     ));
                 }
-                let h2 = opt
-                    .heuristic2(Duration::from_secs(120))
-                    .map_err(|e| e.to_string())?;
-                let (h2p, _) = opt.heuristic2_parallel(&exec).map_err(|e| e.to_string())?;
-                if h2p.vector != h2.vector || h2p.choices != h2.choices || h2p.leakage != h2.leakage
-                {
+                let (reference, _) = opt.heuristic2(&one).map_err(|e| e.to_string())?;
+                let (parallel, _) = opt.heuristic2(&exec).map_err(|e| e.to_string())?;
+                if !parallel.same_assignment(&reference) {
                     return Err(format!(
-                        "heuristic2_parallel({threads}) diverged: {} vs serial {}",
-                        h2p.leakage, h2.leakage
+                        "heuristic2({threads} threads) diverged: {} vs 1 thread {}",
+                        parallel.leakage, reference.leakage
                     ));
                 }
                 Ok(())
@@ -186,7 +182,7 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::Mode::Proposed,
                 );
                 let (prev, _) = opt
-                    .heuristic2_parallel(&svtox_core::ExecConfig::serial())
+                    .heuristic2(&svtox_core::ExecConfig::serial())
                     .map_err(|e| format!("pre-edit run: {e}"))?;
                 let script = random_edit_script(&pre, *seed, *num_ops);
                 let mut post = pre.clone();
@@ -199,7 +195,7 @@ pub fn run_builtin_suite(config: &CheckConfig, filter: Option<&str>) -> Vec<Prop
                     svtox_core::Mode::Proposed,
                 );
                 let (cold, _) = post_opt
-                    .heuristic2_parallel(&svtox_core::ExecConfig::serial())
+                    .heuristic2(&svtox_core::ExecConfig::serial())
                     .map_err(|e| format!("cold run: {e}"))?;
                 let report = post_opt
                     .rerun_after_edit(

@@ -272,7 +272,7 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
             .map_err(|e| CliError(e.to_string()))?;
         let pre_opt = pre_problem.optimizer(penalty, Mode::Proposed);
         let (prev, _) = pre_opt
-            .heuristic2_parallel(&exec)
+            .heuristic2(&exec)
             .map_err(|e| CliError(format!("{name} (pre-edit): {e}")))?;
 
         let script = EditScript::parse(&standard_edit_script(&pre))
@@ -287,7 +287,7 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
 
         let (cold_traj, cold) = trace_run(|shared| {
             post_opt
-                .heuristic2_parallel_warm(&exec, &[], Some(shared))
+                .heuristic2_warm(&exec, &[], Some(shared))
                 .map(|(solution, _, _)| solution)
         })
         .map_err(|e| CliError(format!("{name} (cold): {e}")))?;

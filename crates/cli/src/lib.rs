@@ -1219,7 +1219,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             // The pre-edit run: the solution an ECO flow has on hand.
             let pre_problem = Problem::new(&pre, &lib, TimingConfig::default())?;
             let pre_opt = pre_problem.optimizer(penalty, args.mode).with_obs(&obs);
-            let (prev, _) = pre_opt.heuristic2_parallel(&exec)?;
+            let (prev, _) = pre_opt.heuristic2(&exec)?;
 
             // Apply the script and split the netlist's dirty set off for
             // the incremental timing analyzer.

@@ -6,6 +6,8 @@
 //! the root-split search. A resumed run replays the recorded tasks from
 //! the file and recomputes only the rest, which makes resume-after-kill
 //! bit-identical to the uninterrupted run (see `tests/checkpoint_resume`).
+//! It re-derives the seed rather than trusting the recorded one, which
+//! only ECO re-runs reuse, as a warm candidate vector.
 //!
 //! Robustness rules:
 //!

@@ -9,11 +9,20 @@
 //! * [`Optimizer::heuristic1`] — one ordered descent of the state tree, with
 //!   a greedy, leakage-sorted traversal of the gate tree at the leaf
 //!   (the paper's Heuristic 1);
-//! * [`Optimizer::heuristic2`] — Heuristic 1 plus a time-budgeted
-//!   branch-and-bound improvement pass over the state tree (Heuristic 2);
+//! * [`Optimizer::heuristic2`] — Heuristic 1 plus an optionally
+//!   time-budgeted branch-and-bound improvement pass over the state tree
+//!   (Heuristic 2);
 //! * [`Optimizer::exact`] — the full two-tree branch and bound (state tree ×
 //!   gate tree) with leakage lower-bound pruning, feasible only for small
 //!   circuits;
+//! * [`Optimizer::run`] and [`Optimizer::run_portfolio`] — the production
+//!   entry points: Heuristic 2 with checkpointing and typed degradation,
+//!   and a race of several strategies.
+//!
+//! Heuristic 2 and the exact method are one state-tree search that differs
+//! only in how a leaf's gate tree is evaluated. Every search takes an
+//! [`ExecConfig`]; the result is bit-identical for any thread count, and
+//! `ExecConfig::serial()` is the single-threaded reference.
 //! * baselines via [`Mode`]: state assignment only, and state+`Vt` (the
 //!   DAC 2003 predecessor, the paper's ref.\[12\], without dual-`Tox`).
 //!
@@ -63,8 +72,7 @@ pub use problem::{DelayPenalty, GateOrder, InputOrder, Mode, Problem};
 pub use solution::Solution;
 pub use state_search::eco::EcoReport;
 pub use state_search::portfolio::{
-    self, BranchOrder, MemberReport, MemberStatus, PortfolioConfig, PortfolioOutcome,
-    ProvenanceEntry, Strategy,
+    self, MemberReport, MemberStatus, PortfolioConfig, PortfolioOutcome, ProvenanceEntry, Strategy,
 };
 pub use state_search::Optimizer;
 pub use state_search::WarmStats;

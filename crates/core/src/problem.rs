@@ -49,6 +49,9 @@ pub enum InputOrder {
     InfluenceDescending,
     /// Netlist declaration order.
     Natural,
+    /// Smallest transitive fanout first — a deliberately contrarian order
+    /// that wins when the influential inputs are better decided late.
+    InfluenceAscending,
 }
 
 /// Normalized delay penalty: the fraction of the fast→all-slow delay gap

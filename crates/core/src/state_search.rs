@@ -7,7 +7,7 @@
 //! descent (Heuristic 1 takes the branch with the smaller bound) and prunes
 //! the branch and bound (Heuristic 2 / exact).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use svtox_fault::Fault;
 use svtox_netlist::GateId;
@@ -27,6 +27,15 @@ use crate::error::OptError;
 use crate::gate_assign::{exact_assign, gate_states, greedy_assign};
 use crate::problem::{DelayPenalty, GateOrder, InputOrder, Mode, Problem};
 use crate::solution::Solution;
+
+/// How a surviving leaf of the state tree is evaluated.
+#[derive(Clone, Copy)]
+pub(crate) enum LeafKind {
+    /// Greedy gate tree (Heuristics 1/2).
+    Greedy,
+    /// Exact gate-tree branch and bound.
+    Exact,
+}
 
 /// Incremental leakage lower bound over a partially-decided input vector.
 pub(crate) struct BoundTracker<'p, 'n> {
@@ -141,9 +150,10 @@ impl<'a> Optimizer<'a> {
     /// Attaches a fault-injection handle (chaos testing). The search
     /// loop consults it after every leaf evaluation
     /// (`core.leaf` site: a fire cancels the run's budget — a
-    /// deterministic mid-search kill), and [`Optimizer::run`] threads it
-    /// through the execution engine's dispatch/pop/clock sites. The
-    /// default is the disabled handle: one branch per leaf.
+    /// deterministic mid-search kill), every search threads it through
+    /// the execution engine's dispatch/pop sites, and [`Optimizer::run`]
+    /// also through the budget's clock site. The default is the disabled
+    /// handle: one branch per leaf.
     #[must_use]
     pub fn with_fault(mut self, fault: &'a Fault) -> Self {
         self.fault = fault;
@@ -185,7 +195,7 @@ impl<'a> Optimizer<'a> {
         let _span = self.obs.span("core.heuristic1");
         let start = Instant::now();
         let mut tracker = BoundTracker::new(self.problem, self.mode);
-        let order = self.input_order();
+        let order = self.branch_order(self.input_order);
         let netlist = self.problem.netlist();
         let mut vector = vec![false; netlist.num_inputs()];
         for &i in &order {
@@ -202,94 +212,11 @@ impl<'a> Optimizer<'a> {
             }
         }
         let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-        let solution = self.evaluate_leaf(&vector, &mut sta, start, 1);
+        let solution = self.evaluate_leaf(LeafKind::Greedy, &vector, &mut sta, start, 1);
         self.obs.add("core.h1.decisions", order.len() as u64);
         self.obs.add("core.h1.leaves", 1);
         self.flush_sta(&sta, StaCounters::default());
         Ok(solution)
-    }
-
-    /// **Heuristic 2**: Heuristic 1 plus a time-budgeted branch-and-bound
-    /// improvement pass over the state tree.
-    ///
-    /// The descent order and bounds match Heuristic 1; subtrees whose bound
-    /// already exceeds the incumbent are pruned. The pass stops when
-    /// `time_budget` expires or the tree is exhausted (making the state
-    /// search exact for small input counts — the gate tree stays greedy).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on library lookup failure.
-    pub fn heuristic2(&self, time_budget: Duration) -> Result<Solution, OptError> {
-        let start = Instant::now();
-        let mut best = self.heuristic1()?;
-        let _span = self.obs.span("core.heuristic2");
-        let netlist = self.problem.netlist();
-        let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-        let mut tracker = BoundTracker::new(self.problem, self.mode);
-        let order = self.input_order();
-        let mut leaves = best.leaves_explored;
-        let base_leaves = leaves;
-        let (mut nodes, mut prunes, mut incumbents) = (0u64, 0u64, 0u64);
-
-        // Iterative DFS: at each depth, branches still to explore.
-        struct Frame {
-            depth: usize,
-            remaining: Vec<bool>,
-        }
-        let mut vector = vec![false; netlist.num_inputs()];
-        let mut stack = vec![Frame {
-            depth: 0,
-            remaining: vec![true, false],
-        }];
-        'dfs: while let Some(frame) = stack.last_mut() {
-            if start.elapsed() > time_budget {
-                break 'dfs;
-            }
-            let depth = frame.depth;
-            if depth == order.len() {
-                leaves += 1;
-                let candidate = self.evaluate_leaf(&vector, &mut sta, start, leaves);
-                if candidate.leakage < best.leakage {
-                    best = candidate;
-                    incumbents += 1;
-                }
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            }
-            let Some(value) = frame.remaining.pop() else {
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            };
-            let input = order[depth];
-            tracker.set_input(input, Logic::from(value));
-            nodes += 1;
-            if tracker.bound() >= best.leakage {
-                prunes += 1;
-                tracker.set_input(input, Logic::X);
-                continue;
-            }
-            vector[input] = value;
-            stack.push(Frame {
-                depth: depth + 1,
-                remaining: vec![true, false],
-            });
-        }
-        best.runtime = start.elapsed();
-        best.leaves_explored = leaves;
-        self.obs.add("core.search.nodes", nodes);
-        self.obs
-            .add("core.search.leaves", (leaves - base_leaves) as u64);
-        self.obs.add("core.search.prunes_local", prunes);
-        self.obs.add("core.search.incumbent_updates", incumbents);
-        self.flush_sta(&sta, StaCounters::default());
-        Ok(best)
     }
 
     /// **Local refinement**: starting from a solution, repeatedly flips
@@ -321,7 +248,8 @@ impl<'a> Optimizer<'a> {
                 let mut vector = best.vector.clone();
                 vector[i] = !vector[i];
                 leaves += 1;
-                let candidate = self.evaluate_leaf(&vector, &mut sta, begin, leaves);
+                let candidate =
+                    self.evaluate_leaf(LeafKind::Greedy, &vector, &mut sta, begin, leaves);
                 if candidate.leakage < best.leakage {
                     best = candidate;
                     improved = true;
@@ -341,118 +269,21 @@ impl<'a> Optimizer<'a> {
         Ok(best)
     }
 
-    /// The **exact** two-tree branch and bound: exhaustive, pruned search of
-    /// the state tree with an exact gate-tree branch and bound at every
-    /// surviving leaf.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptError::TooManyInputs`] if the circuit has more than
-    /// `max_inputs` primary inputs — the state space is `2^n` and this
-    /// method is intended for the small circuits the paper's exact method
-    /// handles.
-    pub fn exact(&self, max_inputs: usize) -> Result<Solution, OptError> {
-        let netlist = self.problem.netlist();
-        if netlist.num_inputs() > max_inputs {
-            return Err(OptError::TooManyInputs {
-                inputs: netlist.num_inputs(),
-                limit: max_inputs,
-            });
-        }
-        let _span = self.obs.span("core.exact");
-        let start = Instant::now();
-        let mut sta = Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-        let budget = self.budget();
-        let mut tracker = BoundTracker::new(self.problem, self.mode);
-        let order = self.input_order();
-        let mut best: Option<Solution> = None;
-        let mut leaves = 0usize;
-        let (mut nodes, mut prunes, mut incumbents) = (0u64, 0u64, 0u64);
-        let mut vector = vec![false; netlist.num_inputs()];
-
-        struct Frame {
-            depth: usize,
-            remaining: Vec<bool>,
-        }
-        let mut stack = vec![Frame {
-            depth: 0,
-            remaining: vec![true, false],
-        }];
-        while let Some(frame) = stack.last_mut() {
-            let depth = frame.depth;
-            if depth == order.len() {
-                leaves += 1;
-                let states = gate_states(self.problem, &vector);
-                let assignment = exact_assign(self.problem, &states, self.mode, budget, &mut sta);
-                let better = best.as_ref().is_none_or(|b| assignment.leakage < b.leakage);
-                if better {
-                    incumbents += 1;
-                    best = Some(Solution {
-                        vector: vector.clone(),
-                        choices: assignment.choices,
-                        leakage: assignment.leakage,
-                        delay: assignment.delay,
-                        runtime: start.elapsed(),
-                        leaves_explored: leaves,
-                    });
-                }
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            }
-            let Some(value) = frame.remaining.pop() else {
-                stack.pop();
-                if let Some(parent) = stack.last() {
-                    tracker.set_input(order[parent.depth], Logic::X);
-                }
-                continue;
-            };
-            let input = order[depth];
-            tracker.set_input(input, Logic::from(value));
-            nodes += 1;
-            if let Some(b) = &best {
-                if tracker.bound() >= b.leakage {
-                    prunes += 1;
-                    tracker.set_input(input, Logic::X);
-                    continue;
-                }
-            }
-            vector[input] = value;
-            stack.push(Frame {
-                depth: depth + 1,
-                remaining: vec![true, false],
-            });
-        }
-        let mut best = best.expect("at least one leaf is evaluated");
-        best.runtime = start.elapsed();
-        best.leaves_explored = leaves;
-        self.obs.add("core.search.nodes", nodes);
-        self.obs.add("core.search.leaves", leaves as u64);
-        self.obs.add("core.search.prunes_local", prunes);
-        self.obs.add("core.search.incumbent_updates", incumbents);
-        self.flush_sta(&sta, StaCounters::default());
-        Ok(best)
-    }
-
-    /// Evaluates one fully-decided vector with the greedy gate tree.
+    /// Evaluates one fully-decided vector with the given gate tree.
     pub(crate) fn evaluate_leaf(
         &self,
+        leaf: LeafKind,
         vector: &[bool],
         sta: &mut Sta<'_>,
         start: Instant,
         leaves: usize,
     ) -> Solution {
         let states = gate_states(self.problem, vector);
-        let assignment = greedy_assign(
-            self.problem,
-            &states,
-            self.mode,
-            self.gate_order,
-            self.budget(),
-            sta,
-        );
+        let (problem, mode, budget) = (self.problem, self.mode, self.budget());
+        let assignment = match leaf {
+            LeafKind::Greedy => greedy_assign(problem, &states, mode, self.gate_order, budget, sta),
+            LeafKind::Exact => exact_assign(problem, &states, mode, budget, sta),
+        };
         Solution {
             vector: vector.to_vec(),
             choices: assignment.choices,
@@ -463,21 +294,30 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// The input branching order (see [`InputOrder`]).
-    pub(crate) fn input_order(&self) -> Vec<usize> {
+    /// The inputs in `order`'s branching sequence (stable sorts, so the
+    /// order — and with it the whole search trajectory — is reproducible).
+    pub(crate) fn branch_order(&self, order: InputOrder) -> Vec<usize> {
         let n = self.problem.netlist().num_inputs();
-        let mut order: Vec<usize> = (0..n).collect();
-        if self.input_order == InputOrder::InfluenceDescending {
-            order.sort_by_key(|&i| std::cmp::Reverse(self.problem.tfo(i).len()));
+        let mut inputs: Vec<usize> = (0..n).collect();
+        let fanout = |i: &usize| self.problem.tfo(*i).len();
+        match order {
+            InputOrder::InfluenceDescending => {
+                inputs.sort_by_key(|i| std::cmp::Reverse(fanout(i)));
+            }
+            InputOrder::Natural => {}
+            InputOrder::InfluenceAscending => inputs.sort_by_key(fanout),
         }
-        order
+        inputs
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use svtox_cells::{Library, LibraryOptions};
+    use svtox_exec::ExecConfig;
     use svtox_netlist::generators::{random_dag, RandomDagSpec};
     use svtox_netlist::Netlist;
     use svtox_sim::random_average_leakage;
@@ -510,7 +350,8 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let h1 = opt.heuristic1().unwrap();
-        let h2 = opt.heuristic2(Duration::from_millis(2000)).unwrap();
+        let exec = ExecConfig::serial().with_time_budget(Duration::from_millis(2000));
+        let (h2, _) = opt.heuristic2(&exec).unwrap();
         assert!(h2.leakage.value() <= h1.leakage.value() + 1e-9);
         h2.verify(&problem).unwrap();
         assert!(h2.leaves_explored >= h1.leaves_explored);
@@ -523,9 +364,10 @@ mod tests {
         let lib = Library::new(Technology::predictive_65nm(), LibraryOptions::default()).unwrap();
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::new(0.10).unwrap(), Mode::Proposed);
-        let exact = opt.exact(10).unwrap();
+        let exec = ExecConfig::serial().with_time_budget(Duration::from_secs(5));
+        let (exact, _) = opt.exact(10, &exec).unwrap();
         let h1 = opt.heuristic1().unwrap();
-        let h2 = opt.heuristic2(Duration::from_secs(5)).unwrap();
+        let (h2, _) = opt.heuristic2(&exec).unwrap();
         assert!(exact.leakage.value() <= h1.leakage.value() + 1e-9);
         assert!(exact.leakage.value() <= h2.leakage.value() + 1e-9);
         exact.verify(&problem).unwrap();
@@ -535,37 +377,46 @@ mod tests {
         assert!(h2.leakage.value() <= exact.leakage.value() * 1.25);
     }
 
-    /// Brute force over every input vector (with exact gate assignment per
-    /// vector): the two-tree exact search must find the global optimum.
+    /// Independent oracle for the state-tree search: enumerate all 2^n
+    /// vectors of seeded random DAGs and take the minimum of each leaf
+    /// evaluator. The exact search must hit the `exact_assign` minimum and
+    /// the unbudgeted Heuristic 2 the greedy-leaf minimum, bit for bit, at
+    /// every thread count.
     #[test]
     fn exact_matches_vector_brute_force() {
-        let spec = RandomDagSpec::new("ss-brute", 4, 2, 10, 3);
-        let n = random_dag(&spec).unwrap();
         let lib = Library::new(Technology::predictive_65nm(), LibraryOptions::default()).unwrap();
-        let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
-        let penalty = DelayPenalty::new(0.10).unwrap();
-        let opt = problem.optimizer(penalty, Mode::Proposed);
-        let exact = opt.exact(6).unwrap();
-        let budget = problem.delay_budget(penalty);
-        let mut sta = Sta::new(&n, &lib, problem.timing()).unwrap();
-        let mut best = f64::INFINITY;
-        for bits in 0..(1u32 << n.num_inputs()) {
-            let vector: Vec<bool> = (0..n.num_inputs()).map(|i| bits >> i & 1 == 1).collect();
-            let states = crate::gate_assign::gate_states(&problem, &vector);
-            let a = crate::gate_assign::exact_assign(
-                &problem,
-                &states,
-                Mode::Proposed,
-                budget,
-                &mut sta,
-            );
-            best = best.min(a.leakage.value());
+        for case in 0..5usize {
+            let (inputs, gates) = (3 + case % 4, 5 + case);
+            let spec = RandomDagSpec::new(format!("ss-brute-{case}"), inputs, 2, gates, 3);
+            let n = random_dag(&spec).unwrap();
+            let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+            let mut sta = Sta::new(&n, &lib, problem.timing()).unwrap();
+            for fraction in [0.0, 0.10] {
+                let penalty = DelayPenalty::new(fraction).unwrap();
+                let budget = problem.delay_budget(penalty);
+                let (mut greedy_min, mut exact_min) = (f64::INFINITY, f64::INFINITY);
+                for bits in 0..(1u32 << n.num_inputs()) {
+                    let vector: Vec<bool> =
+                        (0..n.num_inputs()).map(|i| bits >> i & 1 == 1).collect();
+                    let states = gate_states(&problem, &vector);
+                    let order = GateOrder::default();
+                    let greedy =
+                        greedy_assign(&problem, &states, Mode::Proposed, order, budget, &mut sta);
+                    let exact = exact_assign(&problem, &states, Mode::Proposed, budget, &mut sta);
+                    greedy_min = greedy_min.min(greedy.leakage.value());
+                    exact_min = exact_min.min(exact.leakage.value());
+                }
+                let opt = problem.optimizer(penalty, Mode::Proposed);
+                for threads in [1, 2, 4] {
+                    let exec = ExecConfig::with_threads(threads);
+                    let at = format!("case {case}, penalty {fraction}, {threads} threads");
+                    let (exact, _) = opt.exact(8, &exec).unwrap();
+                    assert_eq!(exact.leakage.value().to_bits(), exact_min.to_bits(), "{at}");
+                    let (h2, _) = opt.heuristic2(&exec).unwrap();
+                    assert_eq!(h2.leakage.value().to_bits(), greedy_min.to_bits(), "{at}");
+                }
+            }
         }
-        assert!(
-            (exact.leakage.value() - best).abs() < 1e-6 * (1.0 + best),
-            "exact {} vs brute force {best}",
-            exact.leakage
-        );
     }
 
     #[test]
@@ -574,7 +425,7 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         assert!(matches!(
-            opt.exact(4),
+            opt.exact(4, &ExecConfig::serial()),
             Err(OptError::TooManyInputs {
                 inputs: 8,
                 limit: 4

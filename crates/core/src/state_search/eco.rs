@@ -4,11 +4,11 @@
 //! reusing what the pre-edit run learned:
 //!
 //! * the previous solution's input vector, and
-//! * the per-task best vectors recorded in a PR 5 checkpoint file,
+//! * the per-task best vectors recorded in a checkpoint file,
 //!
 //! are re-evaluated as feasible incumbents on the post-edit problem and
 //! fed to the shared cross-worker bound before the branch and bound
-//! starts (see [`Optimizer::heuristic2_parallel_warm`]).
+//! starts (see [`Optimizer::heuristic2_warm`]).
 //!
 //! # Soundness: value reuse, not exploration skipping
 //!
@@ -72,14 +72,14 @@ impl<'a> Optimizer<'a> {
     ///
     /// `self` must be built on the **post-edit** problem. `trace` is the
     /// edit's id mapping (used for reuse reporting); `prev` is the
-    /// pre-edit solution, `checkpoint` a PR 5 checkpoint file whose
+    /// pre-edit solution, `checkpoint` a checkpoint file whose
     /// per-task best vectors are mined as additional warm candidates
     /// (best-effort: an unreadable or foreign file contributes nothing).
     /// `shared_out` optionally exposes the live incumbent for
     /// time-to-quality instrumentation.
     ///
     /// The returned solution is **bit-identical** to a cold
-    /// [`Optimizer::heuristic2_parallel`] on the same problem at any
+    /// [`Optimizer::heuristic2`] on the same problem at any
     /// thread count — reuse affects speed, not the answer. Candidate
     /// vectors whose length no longer matches (the edit changed the
     /// primary-input count) are skipped silently.
@@ -117,8 +117,7 @@ impl<'a> Optimizer<'a> {
                 }
             }
         }
-        let (solution, stats, warm) =
-            self.heuristic2_parallel_warm(exec, &warm_vectors, shared_out)?;
+        let (solution, stats, warm) = self.heuristic2_warm(exec, &warm_vectors, shared_out)?;
         let gates_total = self.problem.netlist().num_gates();
         let gates_carried = trace.gates_carried().min(gates_total);
         self.obs.add("core.eco.runs", 1);
@@ -179,18 +178,14 @@ mod tests {
         let pre = base();
         let problem = Problem::new(&pre, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-        let (prev, _) = opt
-            .heuristic2_parallel(&ExecConfig::with_threads(2))
-            .unwrap();
+        let (prev, _) = opt.heuristic2(&ExecConfig::with_threads(2)).unwrap();
 
         let mut post = pre.clone();
         let trace = edit(&mut post);
         let post_problem = Problem::new(&post, &lib, TimingConfig::default()).unwrap();
         let post_opt = post_problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
 
-        let (cold, _) = post_opt
-            .heuristic2_parallel(&ExecConfig::with_threads(1))
-            .unwrap();
+        let (cold, _) = post_opt.heuristic2(&ExecConfig::with_threads(1)).unwrap();
         for threads in [1usize, 2, 4] {
             let report = post_opt
                 .rerun_after_edit(
@@ -227,7 +222,7 @@ mod tests {
         let problem = Problem::new(&netlist, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         // A "previous" solution with the wrong input count.
-        let (mut prev, _) = opt.heuristic2_parallel(&ExecConfig::serial()).unwrap();
+        let (mut prev, _) = opt.heuristic2(&ExecConfig::serial()).unwrap();
         prev.vector.pop();
         let trace = EditTrace {
             gate_map: Vec::new(),
@@ -243,7 +238,7 @@ mod tests {
         assert_eq!(report.warm.candidates, 1);
         assert_eq!(report.warm.evaluated, 0);
         assert_eq!(report.warm.best, None);
-        let (cold, _) = opt.heuristic2_parallel(&ExecConfig::serial()).unwrap();
+        let (cold, _) = opt.heuristic2(&ExecConfig::serial()).unwrap();
         assert!(report.solution.same_assignment(&cold));
     }
 
@@ -277,9 +272,7 @@ mod tests {
         assert!(report.checkpoint_vectors >= 1);
         assert_eq!(report.warm.candidates, 1 + report.checkpoint_vectors);
         assert_eq!(report.warm.evaluated, report.warm.candidates);
-        let (cold, _) = post_opt
-            .heuristic2_parallel(&ExecConfig::with_threads(1))
-            .unwrap();
+        let (cold, _) = post_opt.heuristic2(&ExecConfig::with_threads(1)).unwrap();
         assert!(report.solution.same_assignment(&cold));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -64,28 +64,15 @@ use std::time::Instant;
 use svtox_exec::rng::{derive_seed, Xoshiro256pp};
 use svtox_exec::{run_pool, Budget, CancelToken, ExecConfig, ExecError, SearchStats, SharedMinF64};
 use svtox_fault::Site as FaultSite;
-use svtox_sta::Sta;
 
 use crate::checkpoint::{self, CheckpointSpec, CheckpointWriter, TaskRecord};
 use crate::error::OptError;
 use crate::outcome::{DegradeReason, RunOutcome};
+use crate::problem::InputOrder;
 use crate::solution::Solution;
 
-use super::parallel::{LeafKind, WorkerCtx};
-use super::{BoundTracker, Optimizer};
-
-/// Primary-input branching order of a portfolio member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchOrder {
-    /// Largest transitive fanout first (the serial engine's default).
-    InfluenceDescending,
-    /// Netlist declaration order.
-    Natural,
-    /// Smallest transitive fanout first — a deliberately contrarian
-    /// order that wins when the influential inputs are better decided
-    /// late.
-    InfluenceAscending,
-}
+use super::parallel::WorkerCtx;
+use super::{LeafKind, Optimizer};
 
 /// One racing strategy of the portfolio.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,9 +80,9 @@ pub enum Strategy {
     /// The Heuristic 1 descent that seeds the incumbent.
     Heuristic1,
     /// Branch-and-bound state search with greedy gate trees.
-    Heuristic2(BranchOrder),
+    Heuristic2(InputOrder),
     /// Exhaustive two-tree branch and bound (small circuits only).
-    Exact(BranchOrder),
+    Exact(InputOrder),
     /// Seeded randomized restart vectors with greedy gate trees.
     Restarts,
 }
@@ -106,12 +93,12 @@ impl Strategy {
     pub fn slug(self) -> &'static str {
         match self {
             Strategy::Heuristic1 => "h1",
-            Strategy::Heuristic2(BranchOrder::InfluenceDescending) => "h2-influence",
-            Strategy::Heuristic2(BranchOrder::Natural) => "h2-natural",
-            Strategy::Heuristic2(BranchOrder::InfluenceAscending) => "h2-reverse",
-            Strategy::Exact(BranchOrder::InfluenceDescending) => "exact-influence",
-            Strategy::Exact(BranchOrder::Natural) => "exact-natural",
-            Strategy::Exact(BranchOrder::InfluenceAscending) => "exact-reverse",
+            Strategy::Heuristic2(InputOrder::InfluenceDescending) => "h2-influence",
+            Strategy::Heuristic2(InputOrder::Natural) => "h2-natural",
+            Strategy::Heuristic2(InputOrder::InfluenceAscending) => "h2-reverse",
+            Strategy::Exact(InputOrder::InfluenceDescending) => "exact-influence",
+            Strategy::Exact(InputOrder::Natural) => "exact-natural",
+            Strategy::Exact(InputOrder::InfluenceAscending) => "exact-reverse",
             Strategy::Restarts => "restarts",
         }
     }
@@ -367,23 +354,6 @@ impl Member {
 }
 
 impl<'a> Optimizer<'a> {
-    /// Branching order for a portfolio member (stable sorts, so the
-    /// order — and with it the whole member trajectory — is reproducible).
-    fn branch_order(&self, order: BranchOrder) -> Vec<usize> {
-        let n = self.problem.netlist().num_inputs();
-        let mut inputs: Vec<usize> = (0..n).collect();
-        match order {
-            BranchOrder::InfluenceDescending => {
-                inputs.sort_by_key(|&i| std::cmp::Reverse(self.problem.tfo(i).len()));
-            }
-            BranchOrder::Natural => {}
-            BranchOrder::InfluenceAscending => {
-                inputs.sort_by_key(|&i| self.problem.tfo(i).len());
-            }
-        }
-        inputs
-    }
-
     /// Races the full strategy portfolio under `budget` and folds the
     /// members into a typed [`PortfolioOutcome`].
     ///
@@ -407,58 +377,33 @@ impl<'a> Optimizer<'a> {
     ) -> Result<PortfolioOutcome, OptError> {
         let start = Instant::now();
         let _span = self.obs.span("core.portfolio.run");
-        let netlist = self.problem.netlist();
-        let n = netlist.num_inputs();
+        let n = self.problem.netlist().num_inputs();
         let k = config.split_depth.min(n);
 
         // Heuristic 1 is deterministic and cheap, so resume re-derives
         // the seed instead of trusting the file.
         let seed_sol = self.heuristic1()?;
         let seed_leak = seed_sol.leakage.value();
-        let delay_budget = self.budget();
 
         // Fixed declaration order — winner ties break towards the front.
-        let mut strategies = vec![
-            (Strategy::Heuristic1, MemberKind::Seed, 0usize),
-            (
-                Strategy::Heuristic2(BranchOrder::InfluenceDescending),
-                MemberKind::Subtree {
-                    order: self.branch_order(BranchOrder::InfluenceDescending),
-                    k,
-                    leaf: LeafKind::Greedy,
-                },
-                1usize << k,
-            ),
-            (
-                Strategy::Heuristic2(BranchOrder::Natural),
-                MemberKind::Subtree {
-                    order: self.branch_order(BranchOrder::Natural),
-                    k,
-                    leaf: LeafKind::Greedy,
-                },
-                1usize << k,
-            ),
-            (
-                Strategy::Heuristic2(BranchOrder::InfluenceAscending),
-                MemberKind::Subtree {
-                    order: self.branch_order(BranchOrder::InfluenceAscending),
-                    k,
-                    leaf: LeafKind::Greedy,
-                },
-                1usize << k,
-            ),
-        ];
+        let subtree = |order: InputOrder, leaf: LeafKind| MemberKind::Subtree {
+            order: self.branch_order(order),
+            k,
+            leaf,
+        };
+        let mut strategies = vec![(Strategy::Heuristic1, MemberKind::Seed, 0usize)];
+        for order in [
+            InputOrder::InfluenceDescending,
+            InputOrder::Natural,
+            InputOrder::InfluenceAscending,
+        ] {
+            let kind = subtree(order, LeafKind::Greedy);
+            strategies.push((Strategy::Heuristic2(order), kind, 1usize << k));
+        }
         if n <= config.exact_max_inputs {
-            for order in [BranchOrder::InfluenceDescending, BranchOrder::Natural] {
-                strategies.push((
-                    Strategy::Exact(order),
-                    MemberKind::Subtree {
-                        order: self.branch_order(order),
-                        k,
-                        leaf: LeafKind::Exact,
-                    },
-                    1usize << k,
-                ));
+            for order in [InputOrder::InfluenceDescending, InputOrder::Natural] {
+                let kind = subtree(order, LeafKind::Exact);
+                strategies.push((Strategy::Exact(order), kind, 1usize << k));
             }
         }
         if config.restarts > 0 {
@@ -601,15 +546,10 @@ impl<'a> Optimizer<'a> {
                     budget,
                     self.obs,
                     self.fault,
-                    |_worker| WorkerCtx {
-                        sta: Sta::new(netlist, self.problem.library(), self.problem.timing())
-                            .expect("library already validated by heuristic 1"),
-                        tracker: BoundTracker::new(self.problem, self.mode),
-                        vector: vec![false; n],
-                    },
+                    |_worker| self.worker_ctx(),
                     |ctx, t, ws| {
                         let shared = live.then_some(&cell);
-                        Some(self.run_unit(ctx, &tasks[t], bound, shared, delay_budget, ws))
+                        Some(self.run_unit(ctx, &tasks[t], bound, shared, ws))
                     },
                 );
                 total_stats.absorb(&run.stats);
@@ -787,7 +727,6 @@ impl<'a> Optimizer<'a> {
         desc: &TaskDesc,
         bound: f64,
         live: Option<&SharedMinF64>,
-        delay_budget: svtox_tech::Time,
         ws: &mut svtox_exec::WorkerStats,
     ) -> UnitReturn {
         let nodes0 = ws.nodes_expanded;
@@ -804,7 +743,7 @@ impl<'a> Optimizer<'a> {
             TaskKind::Subtree { order, k, leaf } => {
                 // Reproducible rounds prune against a private cell frozen
                 // at the round bound: the unit prunes exactly as the
-                // serial rule dictates, immune to mid-round cross-member
+                // task-local rule dictates, immune to mid-round cross-member
                 // noise. Anytime runs share the real incumbent instead —
                 // except exact units, whose proven-optimality claim must
                 // never rest on a bound tightened by a partial result
@@ -822,7 +761,6 @@ impl<'a> Optimizer<'a> {
                     &desc.budget,
                     cell,
                     bound,
-                    delay_budget,
                     *leaf,
                     ws,
                 )
@@ -839,6 +777,7 @@ impl<'a> Optimizer<'a> {
                 }
                 ws.leaves_evaluated += 1;
                 let sol = self.evaluate_leaf(
+                    LeafKind::Greedy,
                     &ctx.vector,
                     &mut ctx.sta,
                     start,
@@ -1041,9 +980,9 @@ mod tests {
             .expect("restarts member present");
         assert_eq!(restarts.status, MemberStatus::Cancelled);
         assert!(restarts.units_done < restarts.units_total, "stopped early");
-        // The proven optimum is at least as good as the serial exact
-        // search's answer (identical gate-choice space).
-        let exact = opt.exact(12).unwrap();
+        // The proven optimum is at least as good as the exact search's
+        // answer (identical gate-choice space).
+        let (exact, _) = opt.exact(12, &ExecConfig::serial()).unwrap();
         assert_eq!(
             outcome.best.leakage.value().to_bits(),
             exact.leakage.value().to_bits()
@@ -1065,12 +1004,9 @@ mod tests {
             .unwrap();
         let portfolio = outcome.best.leakage.value();
         let h1 = opt.heuristic1().unwrap().leakage.value();
-        let h2 = opt
-            .heuristic2(std::time::Duration::from_secs(10))
-            .unwrap()
-            .leakage
-            .value();
-        let exact = opt.exact(12).unwrap().leakage.value();
+        let exec = ExecConfig::serial().with_time_budget(std::time::Duration::from_secs(10));
+        let h2 = opt.heuristic2(&exec).unwrap().0.leakage.value();
+        let exact = opt.exact(12, &exec).unwrap().0.leakage.value();
         assert!(portfolio <= h1 + 1e-15);
         assert!(portfolio <= h2 + 1e-15);
         assert!(portfolio <= exact + 1e-15);

@@ -19,16 +19,15 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use svtox_exec::{min_by_stable, run_pool, Budget, ExecConfig, ExecError, SharedMinF64};
-use svtox_sta::Sta;
+use svtox_exec::{Budget, ExecConfig, ExecError};
 
 use crate::checkpoint::{self, CheckpointMeta, CheckpointSpec, CheckpointWriter};
 use crate::error::OptError;
 use crate::outcome::{DegradeReason, RunOutcome};
 use crate::solution::Solution;
 
-use super::parallel::{prefix_depth, LeafKind, WorkerCtx};
-use super::{BoundTracker, Optimizer};
+use super::parallel::{prefix_depth, PrefixSearch};
+use super::{LeafKind, Optimizer};
 
 impl<'a> Optimizer<'a> {
     /// Runs the Heuristic 2 search under the full robustness contract:
@@ -37,9 +36,10 @@ impl<'a> Optimizer<'a> {
     /// site, optional checkpointing, and a typed [`RunOutcome`] instead
     /// of an error that would discard the incumbent.
     ///
-    /// Semantics match [`Optimizer::heuristic2_parallel`] exactly when
-    /// nothing goes wrong: same seed, same bounds, same bit-identical
-    /// result for any thread count.
+    /// Semantics match [`Optimizer::heuristic2`] exactly when nothing
+    /// goes wrong: same seed, same bounds, same bit-identical result for
+    /// any thread count. A resumed run re-derives the Heuristic 1 seed
+    /// rather than trusting the one recorded in the checkpoint.
     pub fn run(&self, exec: &ExecConfig, checkpoint: Option<&CheckpointSpec>) -> RunOutcome {
         self.run_with_budget(exec, &exec.budget_faulted(self.fault), checkpoint)
     }
@@ -73,10 +73,7 @@ impl<'a> Optimizer<'a> {
         spec: Option<&CheckpointSpec>,
     ) -> Result<RunOutcome, OptError> {
         let start = Instant::now();
-        let netlist = self.problem.netlist();
-        let order = self.input_order();
-        let k = prefix_depth(exec.threads(), order.len());
-        let num_tasks = 1usize << k;
+        let k = prefix_depth(exec.threads(), self.problem.netlist().num_inputs());
 
         // Load and validate an existing checkpoint before spending any
         // search effort.
@@ -84,21 +81,20 @@ impl<'a> Optimizer<'a> {
             Some(s) if s.resume => checkpoint::load(&s.path)?,
             _ => None,
         };
-        let (seed, recorded) = match loaded {
+        let recorded = match loaded {
             Some(cp) => {
                 self.validate_meta(&cp.meta, k, spec.expect("loaded implies a spec"))?;
-                // The seed skips Heuristic 1, so surface library errors
-                // here, once, on the caller's thread.
-                Sta::new(netlist, self.problem.library(), self.problem.timing())?;
-                (cp.meta.seed, cp.tasks)
+                cp.tasks
             }
-            None => (self.heuristic1()?, BTreeMap::new()),
+            None => BTreeMap::new(),
         };
+        // Heuristic 1 is deterministic and cheap, so resume re-derives
+        // the seed instead of trusting the file.
+        let seed = self.heuristic1()?;
         let _span = self.obs.span("core.run");
 
-        let resumed_tasks = recorded.len();
         let writer = match spec {
-            Some(s) if s.resume && resumed_tasks > 0 => {
+            Some(s) if s.resume && !recorded.is_empty() => {
                 Some(CheckpointWriter::append(&s.path, self.fault)?)
             }
             Some(s) => Some(CheckpointWriter::create(
@@ -108,83 +104,22 @@ impl<'a> Optimizer<'a> {
             )?),
             None => None,
         };
-
-        // The shared cross-worker incumbent starts from the seed and
-        // every recorded best — exactly the values an uninterrupted run
-        // would have published by the time those subtrees finished. The
-        // *task-local* seed stays the original Heuristic 1 leakage so
-        // each fresh subtree prunes exactly as it would have.
-        let base_leaves = seed.leaves_explored;
-        let seed_leak = seed.leakage.value();
-        let shared = SharedMinF64::new(seed_leak);
-        for rec in recorded.values() {
-            if let Some(sol) = &rec.solution {
-                shared.update_min(sol.leakage.value());
-            }
+        if !recorded.is_empty() {
+            self.obs
+                .add("core.run.tasks_resumed", recorded.len() as u64);
         }
-        let delay_budget = self.budget();
 
-        let run = run_pool(
-            exec,
-            num_tasks,
-            budget,
-            self.obs,
-            self.fault,
-            |_worker| WorkerCtx {
-                sta: Sta::new(netlist, self.problem.library(), self.problem.timing())
-                    .expect("library already validated"),
-                tracker: BoundTracker::new(self.problem, self.mode),
-                vector: vec![false; netlist.num_inputs()],
-            },
-            |ctx, p, ws| {
-                if let Some(rec) = recorded.get(&p) {
-                    // Replay: the subtree was exhaustively explored in a
-                    // previous run. Its leaf count keeps totals honest.
-                    ws.leaves_evaluated += rec.leaves;
-                    return rec.solution.clone();
-                }
-                let before = ws.leaves_evaluated;
-                let sol = self.search_subtree(
-                    ctx,
-                    p,
-                    k,
-                    &order,
-                    budget,
-                    &shared,
-                    seed_leak,
-                    delay_budget,
-                    LeafKind::Greedy,
-                    ws,
-                );
-                // Record only subtrees the budget did not interrupt:
-                // `expired` is monotone, so not-expired here proves the
-                // DFS above ran to exhaustion.
-                if !budget.expired() {
-                    if let Some(w) = &writer {
-                        w.record_task(p, ws.leaves_evaluated - before, sol.as_ref());
-                    }
-                }
-                sol
-            },
-        );
-
+        let plan = PrefixSearch {
+            seed: Some(seed),
+            leaf: LeafKind::Greedy,
+            warm: &[],
+            shared: None,
+            recorded: &recorded,
+            writer: writer.as_ref(),
+        };
+        let run = self.search_prefixes(exec, budget, start, plan)?;
+        let best = run.best.expect("seeded search always has an incumbent");
         let stats = run.stats;
-        self.obs.add("core.search.nodes", stats.nodes_expanded());
-        self.obs.add("core.search.leaves", stats.leaves_evaluated());
-        self.obs
-            .add("core.search.prunes_local", stats.prunes_local());
-        self.obs
-            .add("core.search.prunes_shared", stats.prunes_shared());
-        self.obs
-            .add("core.search.incumbent_updates", stats.incumbent_updates());
-        if resumed_tasks > 0 {
-            self.obs.add("core.run.tasks_resumed", resumed_tasks as u64);
-        }
-
-        let mut best = min_by_stable(Some(seed), run.results, |a, b| a.leakage < b.leakage)
-            .expect("seeded search always has an incumbent");
-        best.runtime = start.elapsed();
-        best.leaves_explored = base_leaves + stats.leaves_evaluated() as usize;
 
         if let Some(error) = run.error {
             return Ok(match error {
@@ -328,7 +263,7 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let exec = ExecConfig::with_threads(2);
-        let (reference, _) = opt.heuristic2_parallel(&exec).unwrap();
+        let (reference, _) = opt.heuristic2(&exec).unwrap();
         let outcome = opt.run(&exec, None);
         let RunOutcome::Complete { solution, stats } = outcome else {
             panic!("fault-free run must complete, got {outcome}");
@@ -344,7 +279,7 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let exec = ExecConfig::with_threads(1);
-        let (reference, _) = opt.heuristic2_parallel(&exec).unwrap();
+        let (reference, _) = opt.heuristic2(&exec).unwrap();
 
         let path = temp_path("kill-resume");
         let plan = FaultPlan::new(11).with_rule(Site::CoreLeaf, Trigger::Nth(5));
@@ -375,7 +310,7 @@ mod tests {
         let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
         let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
         let exec = ExecConfig::with_threads(1);
-        let (reference, _) = opt.heuristic2_parallel(&exec).unwrap();
+        let (reference, _) = opt.heuristic2(&exec).unwrap();
 
         // A pre-cancelled external token: the run must degrade with
         // `Cancelled` (not the deadline) and still write a checkpoint a
@@ -390,6 +325,48 @@ mod tests {
         };
         assert_eq!(reason, DegradeReason::Cancelled);
         assert!(best.same_assignment(&opt.heuristic1().unwrap()));
+
+        let resumed = opt.run(&exec, Some(&CheckpointSpec::resume(&path)));
+        let RunOutcome::Complete { solution, .. } = resumed else {
+            panic!("resume must complete, got {resumed}");
+        };
+        assert!(solution.same_assignment(&reference));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_rederives_a_forged_seed() {
+        let (n, lib) = small();
+        let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+        let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
+        let exec = ExecConfig::with_threads(1);
+        let RunOutcome::Complete {
+            solution: reference,
+            ..
+        } = opt.run(&exec, None)
+        else {
+            panic!("baseline run must complete");
+        };
+
+        let path = temp_path("forged-seed");
+        let plan = FaultPlan::new(11).with_rule(Site::CoreLeaf, Trigger::Nth(5));
+        let fault = Fault::new(&plan);
+        let killed = opt
+            .with_fault(&fault)
+            .run(&exec, Some(&CheckpointSpec::fresh(&path)));
+        assert_eq!(killed.status(), "degraded");
+        // Overwrite the recorded seed's leakage with 1 nA: trusting it
+        // would prune every fresh subtree and return the forgery.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (meta, tasks) = text.split_once('\n').unwrap();
+        let at = meta.find("\"leakage\":\"").unwrap() + "\"leakage\":\"".len();
+        let forged = format!(
+            "{}{:016x}{}",
+            &meta[..at],
+            1.0f64.to_bits(),
+            &meta[at + 16..]
+        );
+        std::fs::write(&path, format!("{forged}\n{tasks}")).unwrap();
 
         let resumed = opt.run(&exec, Some(&CheckpointSpec::resume(&path)));
         let RunOutcome::Complete { solution, .. } = resumed else {

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use svtox_cells::{Library, LibraryOptions, TradeoffPoints};
 use svtox_check::domain::test_library as library;
-use svtox_core::{DelayPenalty, Mode, Problem};
+use svtox_core::{DelayPenalty, ExecConfig, Mode, Problem};
 use svtox_netlist::generators::benchmark;
 use svtox_netlist::{insert_sleep_vector, map_to_primitives, MappingOptions};
 use svtox_sim::{random_average_leakage, vector_leakage};
@@ -143,7 +143,8 @@ fn heuristic2_improves_or_matches_on_c432() {
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
     let h1 = opt.heuristic1().unwrap();
-    let h2 = opt.heuristic2(Duration::from_secs(2)).unwrap();
+    let exec = ExecConfig::serial().with_time_budget(Duration::from_secs(2));
+    let (h2, _) = opt.heuristic2(&exec).unwrap();
     assert!(h2.leakage.value() <= h1.leakage.value() + 1e-9);
     h2.verify(&problem).unwrap();
 }

@@ -1,10 +1,10 @@
 //! Cross-thread determinism of the parallel searches.
 //!
 //! The engine's contract is that parallelism is *invisible* in the answer:
-//! for any worker count, the parallel optimizer returns the same vector,
-//! the same per-gate choices, and bit-identical leakage/delay as the
-//! serial search. These tests pin that contract on small circuits where
-//! the serial searches exhaust their trees.
+//! for any worker count, the optimizer returns the same vector, the same
+//! per-gate choices, and bit-identical leakage/delay as with one worker.
+//! These tests pin that contract on small circuits where the searches
+//! exhaust their trees.
 
 use std::time::Duration;
 
@@ -19,10 +19,10 @@ fn exact_parallel_matches_serial_for_all_thread_counts() {
     let (n, lib) = circuit("pd-exact", 5, 14, 4);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::new(0.10).unwrap(), Mode::Proposed);
-    let serial = opt.exact(8).unwrap();
+    let (serial, _) = opt.exact(8, &ExecConfig::serial()).unwrap();
     for threads in THREAD_COUNTS {
         let exec = ExecConfig::with_threads(threads);
-        let (sol, stats) = opt.exact_parallel(8, &exec).unwrap();
+        let (sol, stats) = opt.exact(8, &exec).unwrap();
         assert_eq!(sol.vector, serial.vector, "threads={threads}");
         assert_eq!(sol.choices, serial.choices, "threads={threads}");
         assert_eq!(sol.leakage, serial.leakage, "threads={threads}");
@@ -38,11 +38,11 @@ fn heuristic2_parallel_matches_exhausted_serial_for_all_thread_counts() {
     let (n, lib) = circuit("pd-h2", 8, 40, 6);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-    // 8 inputs = 256 leaves: a generous serial budget exhausts the tree.
-    let serial = opt.heuristic2(Duration::from_secs(120)).unwrap();
+    // 8 inputs = 256 leaves: the unbudgeted search exhausts the tree.
+    let (serial, _) = opt.heuristic2(&ExecConfig::serial()).unwrap();
     for threads in THREAD_COUNTS {
         let exec = ExecConfig::with_threads(threads);
-        let (sol, _stats) = opt.heuristic2_parallel(&exec).unwrap();
+        let (sol, _stats) = opt.heuristic2(&exec).unwrap();
         assert_eq!(sol.vector, serial.vector, "threads={threads}");
         assert_eq!(sol.choices, serial.choices, "threads={threads}");
         assert_eq!(sol.leakage, serial.leakage, "threads={threads}");
@@ -58,13 +58,9 @@ fn heuristic2_parallel_is_exec_config_invariant() {
     let (n, lib) = circuit("pd-cfg", 7, 30, 5);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::new(0.25).unwrap(), Mode::Proposed);
-    let (unbudgeted, _) = opt
-        .heuristic2_parallel(&ExecConfig::with_threads(3))
-        .unwrap();
+    let (unbudgeted, _) = opt.heuristic2(&ExecConfig::with_threads(3)).unwrap();
     let (budgeted, _) = opt
-        .heuristic2_parallel(
-            &ExecConfig::with_threads(5).with_time_budget(Duration::from_secs(600)),
-        )
+        .heuristic2(&ExecConfig::with_threads(5).with_time_budget(Duration::from_secs(600)))
         .unwrap();
     assert_eq!(unbudgeted.vector, budgeted.vector);
     assert_eq!(unbudgeted.choices, budgeted.choices);
@@ -78,7 +74,7 @@ fn zero_budget_cancels_promptly_and_returns_the_incumbent() {
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
     let h1 = opt.heuristic1().unwrap();
     let exec = ExecConfig::with_threads(4).with_time_budget(Duration::ZERO);
-    let (sol, stats) = opt.heuristic2_parallel(&exec).unwrap();
+    let (sol, stats) = opt.heuristic2(&exec).unwrap();
     // The budget expired before any improvement pass could run, so the
     // Heuristic 1 incumbent comes back unchanged — no panic, no hang.
     assert_eq!(sol.vector, h1.vector);
@@ -93,10 +89,10 @@ fn exact_parallel_rejects_wide_circuits_and_ignores_budgets() {
     let (n, lib) = circuit("pd-wide", 6, 12, 4);
     let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
     let opt = problem.optimizer(DelayPenalty::five_percent(), Mode::Proposed);
-    assert!(opt.exact_parallel(4, &ExecConfig::with_threads(2)).is_err());
+    assert!(opt.exact(4, &ExecConfig::with_threads(2)).is_err());
     // Exact ignores wall-clock budgets: a zero budget still completes.
     let exec = ExecConfig::with_threads(2).with_time_budget(Duration::ZERO);
-    let (sol, stats) = opt.exact_parallel(8, &exec).unwrap();
+    let (sol, stats) = opt.exact(8, &exec).unwrap();
     assert!(stats.completed);
     sol.verify(&problem).unwrap();
 }
