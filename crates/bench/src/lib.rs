@@ -425,6 +425,11 @@ mod tests {
             );
             assert!(
                 snap.iter()
+                    .any(|(n, v)| n == "core.h1.gates_rebounded" && *v > 0),
+                "bound descent counted"
+            );
+            assert!(
+                snap.iter()
                     .any(|(n, v)| n == "sim.vectors_sampled" && *v == 50),
                 "baseline sampling counted"
             );

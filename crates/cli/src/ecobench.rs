@@ -68,7 +68,8 @@ pub struct EcoBenchRow {
     pub t_cold_ms: f64,
     /// Time for the warm incumbent to reach the shared target, ms.
     pub t_eco_ms: f64,
-    /// `t_cold_ms / t_eco_ms` (both floored at [`MIN_MS`]).
+    /// `t_cold_ms / t_eco_ms` (both floored at 0.5 ms, one watcher
+    /// sampling period).
     pub speedup: f64,
     /// Warm candidates offered to the eco run.
     pub warm_candidates: usize,

@@ -4,7 +4,7 @@
 //!
 //! Both engines start from the same Heuristic 1 seed, so the portfolio's
 //! final cost must be at or below the single engine's (within wall-clock
-//! scheduling noise, see [`REL_EPS`]) — racing more strategies over a
+//! scheduling noise, a 0.1 % relative band) — racing more strategies over a
 //! shared incumbent can only tighten the result. CI records the report to
 //! `results/BENCH_portfolio.json` and greps the `regressions` count; a
 //! winner must be reported for every circuit.

@@ -103,9 +103,9 @@ struct KindTable {
 /// A fully-specified optimization problem.
 ///
 /// Construction runs the two reference timing analyses (`D_fast`, `D_slow`)
-/// and precomputes option tables and transitive-fanout cones used by the
-/// search. The instance is immutable; many [`Optimizer`]s can be derived
-/// from it.
+/// and precomputes option tables and the transitive-fanout cone sizes that
+/// order the search. The instance is immutable; many [`Optimizer`]s can be
+/// derived from it.
 #[derive(Debug, Clone)]
 pub struct Problem<'a> {
     netlist: &'a Netlist,
@@ -114,8 +114,8 @@ pub struct Problem<'a> {
     d_fast: Time,
     d_slow: Time,
     tables: HashMap<GateKind, KindTable>,
-    /// Transitive fanout gates of each primary input (by input position).
-    tfo: Vec<Vec<GateId>>,
+    /// Transitive-fanout gate count of each primary input (by position).
+    tfo_sizes: Vec<usize>,
 }
 
 impl<'a> Problem<'a> {
@@ -143,7 +143,7 @@ impl<'a> Problem<'a> {
             }
             tables.insert(kind, Self::build_table(library, kind)?);
         }
-        let tfo = transitive_fanouts(netlist);
+        let tfo_sizes = transitive_fanout_sizes(netlist);
         Ok(Self {
             netlist,
             library,
@@ -151,7 +151,7 @@ impl<'a> Problem<'a> {
             d_fast,
             d_slow,
             tables,
-            tfo,
+            tfo_sizes,
         })
     }
 
@@ -286,10 +286,23 @@ impl<'a> Problem<'a> {
         &cell.options_for(state)[index as usize]
     }
 
-    /// The transitive-fanout gates of a primary input (by input position).
+    /// Per-state minimum reachable leakage (nA) of a gate kind under a
+    /// mode, indexed by [`InputState::bits`]: the table behind
+    /// [`Problem::min_leak`], for callers that visit many states of one
+    /// gate.
+    pub(crate) fn min_leak_table(&self, kind: GateKind, mode: Mode) -> &[f64] {
+        &self.table(kind).min_leak[mode_index(mode)]
+    }
+
+    /// The number of gates in a primary input's transitive fanout (by
+    /// input position): how many gates deciding that input can influence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input index is out of range.
     #[must_use]
-    pub fn tfo(&self, input_index: usize) -> &[GateId] {
-        &self.tfo[input_index]
+    pub fn tfo_size(&self, input_index: usize) -> usize {
+        self.tfo_sizes[input_index]
     }
 
     fn table(&self, kind: GateKind) -> &KindTable {
@@ -314,30 +327,27 @@ fn uses_thick(version: &svtox_cells::CellVersion) -> bool {
         .any(|&(_, tox)| tox == OxideClass::Thick)
 }
 
-/// Computes per-primary-input transitive fanout gate sets.
-fn transitive_fanouts(netlist: &Netlist) -> Vec<Vec<GateId>> {
-    let n_gates = netlist.num_gates();
-    let mut result = Vec::with_capacity(netlist.num_inputs());
-    let mut seen = vec![u32::MAX; n_gates];
+/// Counts the gates in each primary input's transitive fanout.
+fn transitive_fanout_sizes(netlist: &Netlist) -> Vec<usize> {
+    let mut seen = vec![u32::MAX; netlist.num_gates()];
+    let mut stack: Vec<GateId> = Vec::new();
+    let mut sizes = Vec::with_capacity(netlist.num_inputs());
     for (ii, &pi) in netlist.inputs().iter().enumerate() {
         let mark = ii as u32;
-        let mut cone = Vec::new();
-        let mut stack: Vec<GateId> = netlist.net(pi).fanouts().iter().map(|&(g, _)| g).collect();
+        let mut size = 0;
+        stack.extend(netlist.net(pi).fanouts().iter().map(|&(g, _)| g));
         while let Some(g) = stack.pop() {
             if seen[g.index()] == mark {
                 continue;
             }
             seen[g.index()] = mark;
-            cone.push(g);
+            size += 1;
             let out = netlist.gate(g).output();
             stack.extend(netlist.net(out).fanouts().iter().map(|&(g2, _)| g2));
         }
-        // Sorting keeps downstream iteration cache-friendly and
-        // deterministic.
-        cone.sort_unstable();
-        result.push(cone);
+        sizes.push(size);
     }
-    result
+    sizes
 }
 
 #[cfg(test)]
@@ -421,17 +431,23 @@ mod tests {
     fn tfo_cones_are_complete() {
         let (n, lib) = setup();
         let p = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
-        // Every gate fed directly by an input must be in that input's cone.
+        // Reference cone: the gates reachable from the input, found by a
+        // forward sweep in topological order.
         for (ii, &pi) in n.inputs().iter().enumerate() {
-            let cone = p.tfo(ii);
-            for &(g, _) in n.net(pi).fanouts() {
-                assert!(cone.contains(&g));
+            let mut reached = vec![false; n.num_nets()];
+            reached[pi.index()] = true;
+            let mut cone = 0;
+            for &g in n.topo_order() {
+                let gate = n.gate(g);
+                if gate.inputs().iter().any(|net| reached[net.index()]) {
+                    reached[gate.output().index()] = true;
+                    cone += 1;
+                }
             }
-            // Cones are sorted and duplicate-free.
-            assert!(cone.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(p.tfo_size(ii), cone, "input {ii}");
         }
         // Total cone mass is positive and bounded.
-        let total: usize = (0..n.num_inputs()).map(|i| p.tfo(i).len()).sum();
+        let total: usize = (0..n.num_inputs()).map(|i| p.tfo_size(i)).sum();
         assert!(total >= n.num_gates());
         assert!(total <= n.num_gates() * n.num_inputs());
     }

@@ -38,6 +38,13 @@ pub(crate) enum LeafKind {
 }
 
 /// Incremental leakage lower bound over a partially-decided input vector.
+///
+/// Event-driven: deciding (or un-deciding) an input re-bounds only the
+/// gates whose input cube changed — the simulator's touched list — in
+/// ascending [`GateId`] order. Every other gate would recompute its own
+/// contribution and add `c - c == +0.0`, which leaves `total` bit for
+/// bit unchanged, so the sum equals re-bounding the input's whole
+/// transitive fanout in ascending order.
 pub(crate) struct BoundTracker<'p, 'n> {
     problem: &'p Problem<'n>,
     tri: TriSimulator<'n>,
@@ -46,6 +53,10 @@ pub(crate) struct BoundTracker<'p, 'n> {
     contribution: Vec<f64>,
     /// Sum of contributions.
     total: f64,
+    /// The last step's touched gates, sorted (reused buffer).
+    dirty: Vec<GateId>,
+    /// Gates re-bounded by `set_input` so far.
+    rebounded: u64,
 }
 
 impl<'p, 'n> BoundTracker<'p, 'n> {
@@ -58,6 +69,8 @@ impl<'p, 'n> BoundTracker<'p, 'n> {
             mode,
             contribution: vec![0.0; netlist.num_gates()],
             total: 0.0,
+            dirty: Vec::new(),
+            rebounded: 0,
         };
         for (gid, _) in netlist.gates() {
             let c = tracker.gate_bound(gid);
@@ -70,27 +83,49 @@ impl<'p, 'n> BoundTracker<'p, 'n> {
     /// Lower bound on this gate's leakage over its reachable states.
     fn gate_bound(&self, gid: GateId) -> f64 {
         let kind = self.problem.netlist().gate(gid).kind();
-        self.tri
-            .possible_states(gid)
-            .into_iter()
-            .map(|s| self.problem.min_leak(kind, s, self.mode).value())
-            .fold(f64::INFINITY, f64::min)
+        let (ones, xs) = self.tri.gate_cube(gid);
+        cube_min(self.problem.min_leak_table(kind, self.mode), ones, xs)
     }
 
-    /// Sets one input and updates the bound. Only gates in the input's
-    /// static transitive fanout can change.
+    /// Sets one input and updates the bound, re-bounding only the gates
+    /// whose input cube changed. Allocates nothing in steady state.
     pub(crate) fn set_input(&mut self, index: usize, value: Logic) {
         self.tri.set_input(index, value);
-        for &gid in self.problem.tfo(index) {
+        self.dirty.clear();
+        self.dirty.extend_from_slice(self.tri.touched());
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        for &gid in &self.dirty {
             let c = self.gate_bound(gid);
             self.total += c - self.contribution[gid.index()];
             self.contribution[gid.index()] = c;
         }
+        self.rebounded += self.dirty.len() as u64;
     }
 
     /// The current lower bound for any completion of the partial vector.
     pub(crate) fn bound(&self) -> Current {
         Current::new(self.total)
+    }
+
+    /// Gates re-bounded by [`BoundTracker::set_input`] since construction.
+    pub(crate) fn rebounded(&self) -> u64 {
+        self.rebounded
+    }
+}
+
+/// Minimum of `table[ones | sub]` over every `sub` ⊆ `xs`: the bound of
+/// a gate whose input cube is `(ones, xs)`. Walks the subsets with
+/// `sub = (sub - 1) & xs`, without allocating.
+fn cube_min(table: &[f64], ones: u16, xs: u16) -> f64 {
+    let mut min = f64::INFINITY;
+    let mut sub = xs;
+    loop {
+        min = min.min(table[usize::from(ones | sub)]);
+        if sub == 0 {
+            return min;
+        }
+        sub = (sub - 1) & xs;
     }
 }
 
@@ -215,6 +250,7 @@ impl<'a> Optimizer<'a> {
         let solution = self.evaluate_leaf(LeafKind::Greedy, &vector, &mut sta, start, 1);
         self.obs.add("core.h1.decisions", order.len() as u64);
         self.obs.add("core.h1.leaves", 1);
+        self.obs.add("core.h1.gates_rebounded", tracker.rebounded());
         self.flush_sta(&sta, StaCounters::default());
         Ok(solution)
     }
@@ -299,7 +335,7 @@ impl<'a> Optimizer<'a> {
     pub(crate) fn branch_order(&self, order: InputOrder) -> Vec<usize> {
         let n = self.problem.netlist().num_inputs();
         let mut inputs: Vec<usize> = (0..n).collect();
-        let fanout = |i: &usize| self.problem.tfo(*i).len();
+        let fanout = |i: &usize| self.problem.tfo_size(*i);
         match order {
             InputOrder::InfluenceDescending => {
                 inputs.sort_by_key(|i| std::cmp::Reverse(fanout(i)));
@@ -526,6 +562,190 @@ mod tests {
         // influence-ordered default should not be dramatically worse.
         assert!(default.leakage.value() <= natural.leakage.value() * 1.5);
         assert!(natural.delay <= opt.budget() + Time::new(1e-6));
+    }
+
+    /// The subset walk's minimum equals the minimum of `min_leak` over
+    /// the simulator's enumerated `possible_states`, for every library
+    /// kind, mode and three-valued input cube.
+    #[test]
+    fn cube_min_matches_possible_states() {
+        let options = LibraryOptions {
+            max_arity: 4,
+            ..LibraryOptions::default()
+        };
+        let lib = Library::new(Technology::predictive_65nm(), options).unwrap();
+        for cell in lib.cells() {
+            let kind = cell.kind();
+            let arity = kind.arity();
+            let mut b = svtox_netlist::NetlistBuilder::new("cube");
+            let pins: Vec<_> = (0..arity).map(|i| b.add_input(format!("i{i}"))).collect();
+            let y = b.add_gate(kind, &pins).unwrap();
+            b.mark_output(y);
+            let n = b.finish().unwrap();
+            let problem = Problem::new(&n, &lib, TimingConfig::default()).unwrap();
+            let gid = n.topo_order()[0];
+            let mut tri = TriSimulator::new(&n);
+            for cube in 0..3usize.pow(arity as u32) {
+                let mut digits = cube;
+                for i in 0..arity {
+                    tri.set_input(i, [Logic::Zero, Logic::One, Logic::X][digits % 3]);
+                    digits /= 3;
+                }
+                let (ones, xs) = tri.gate_cube(gid);
+                for mode in Mode::ALL {
+                    let walked = cube_min(problem.min_leak_table(kind, mode), ones, xs);
+                    let enumerated = tri
+                        .possible_states(gid)
+                        .into_iter()
+                        .map(|st| problem.min_leak(kind, st, mode).value())
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(
+                        walked.to_bits(),
+                        enumerated.to_bits(),
+                        "{kind:?}, {mode:?}, cube {cube}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The static-cone bound the event-driven tracker replaced, kept as a
+    /// test oracle: every `set_input` re-bounds the input's whole
+    /// transitive fanout in ascending gate order, each gate by
+    /// enumerating its `possible_states`.
+    struct StaticConeBound<'p, 'n> {
+        problem: &'p Problem<'n>,
+        tri: TriSimulator<'n>,
+        cones: Vec<Vec<GateId>>,
+        contribution: Vec<f64>,
+        total: f64,
+    }
+
+    impl<'p, 'n> StaticConeBound<'p, 'n> {
+        fn new(problem: &'p Problem<'n>) -> Self {
+            let n = problem.netlist();
+            let cones = n
+                .inputs()
+                .iter()
+                .map(|&pi| {
+                    let mut reached = vec![false; n.num_nets()];
+                    reached[pi.index()] = true;
+                    let mut cone = Vec::new();
+                    for &g in n.topo_order() {
+                        let gate = n.gate(g);
+                        if gate.inputs().iter().any(|net| reached[net.index()]) {
+                            reached[gate.output().index()] = true;
+                            cone.push(g);
+                        }
+                    }
+                    cone.sort_unstable();
+                    cone
+                })
+                .collect();
+            let mut oracle = Self {
+                problem,
+                tri: TriSimulator::new(n),
+                cones,
+                contribution: vec![0.0; n.num_gates()],
+                total: 0.0,
+            };
+            for (gid, _) in n.gates() {
+                let c = oracle.gate_bound(gid);
+                oracle.contribution[gid.index()] = c;
+                oracle.total += c;
+            }
+            oracle
+        }
+
+        fn gate_bound(&self, gid: GateId) -> f64 {
+            let kind = self.problem.netlist().gate(gid).kind();
+            self.tri
+                .possible_states(gid)
+                .into_iter()
+                .map(|st| self.problem.min_leak(kind, st, Mode::Proposed).value())
+                .fold(f64::INFINITY, f64::min)
+        }
+
+        fn set_input(&mut self, index: usize, value: Logic) {
+            self.tri.set_input(index, value);
+            for k in 0..self.cones[index].len() {
+                let gid = self.cones[index][k];
+                let c = self.gate_bound(gid);
+                self.total += c - self.contribution[gid.index()];
+                self.contribution[gid.index()] = c;
+            }
+        }
+    }
+
+    /// Seeded random walks — DFS-style decide/backtrack, probe-then-reset
+    /// to `X`, and arbitrary 0/1/X jumps — keep the event-driven bound's
+    /// `total` bit-identical to the static-cone oracle at every step.
+    #[test]
+    fn event_driven_bound_matches_static_cone_bits() {
+        use svtox_exec::rng::Xoshiro256pp;
+        use svtox_netlist::generators::benchmark;
+        let lib = Library::new(Technology::predictive_65nm(), LibraryOptions::default()).unwrap();
+        let mut circuits: Vec<Netlist> = (0..4)
+            .map(|k| {
+                let spec = RandomDagSpec::new(format!("ss-bits-{k}"), 8 + 4 * k, 4, 60 + 60 * k, 8);
+                random_dag(&spec).unwrap()
+            })
+            .collect();
+        circuits.push(benchmark("c432").unwrap());
+        circuits.push(benchmark("c880").unwrap());
+        for (case, n) in circuits.iter().enumerate() {
+            let problem = Problem::new(n, &lib, TimingConfig::default()).unwrap();
+            let mut tracker = BoundTracker::new(&problem, Mode::Proposed);
+            let mut oracle = StaticConeBound::new(&problem);
+            assert_eq!(
+                tracker.total.to_bits(),
+                oracle.total.to_bits(),
+                "case {case}"
+            );
+            let mut rng = Xoshiro256pp::seed_from_u64(0xb17 + case as u64);
+            let inputs = n.num_inputs();
+            let mut decided: Vec<usize> = Vec::new();
+            for step in 0..400 {
+                let mut steps: Vec<(usize, Logic)> = Vec::new();
+                let roll = rng.gen_index(10);
+                if roll < 4 && decided.len() < inputs {
+                    // Decide the next undecided input, as the DFS descends.
+                    let i = (0..inputs).find(|i| !decided.contains(i)).unwrap();
+                    steps.push((i, Logic::from(rng.gen_bool(0.5))));
+                    decided.push(i);
+                } else if roll < 6 {
+                    // Backtrack the deepest decision to X.
+                    if let Some(i) = decided.pop() {
+                        steps.push((i, Logic::X));
+                    }
+                } else if roll < 8 {
+                    // Probe a branch, then reset it to X.
+                    let i = rng.gen_index(inputs);
+                    if !decided.contains(&i) {
+                        steps.push((i, Logic::from(rng.gen_bool(0.5))));
+                        steps.push((i, Logic::X));
+                    }
+                } else {
+                    // An arbitrary 0/1/X jump, including no-op re-sets.
+                    let i = rng.gen_index(inputs);
+                    let value = [Logic::Zero, Logic::One, Logic::X][rng.gen_index(3)];
+                    steps.push((i, value));
+                    decided.retain(|&d| d != i);
+                    if value != Logic::X {
+                        decided.push(i);
+                    }
+                }
+                for (i, value) in steps {
+                    tracker.set_input(i, value);
+                    oracle.set_input(i, value);
+                    assert_eq!(
+                        tracker.total.to_bits(),
+                        oracle.total.to_bits(),
+                        "case {case}, step {step}: input {i} <- {value:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

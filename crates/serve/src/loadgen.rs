@@ -11,7 +11,7 @@
 //! visible.
 //!
 //! Connection failures are retried with bounded, seeded-jitter backoff
-//! ([`Backoff`]): a refused or reset connection is what a restarting
+//! (`Backoff`): a refused or reset connection is what a restarting
 //! server looks like from the outside, and the generator is expected to
 //! ride across a kill-restart window (the `ci.sh` recovery smoke does
 //! exactly that). Exhausting the retry budget is a typed `failed`

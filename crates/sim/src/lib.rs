@@ -8,9 +8,10 @@
 //!   input per tree edge).
 //! * [`TriSimulator`] — three-valued (`0`/`1`/`X`), also event-driven. With
 //!   only part of the standby vector decided, each gate's reachable input
-//!   states form a small set ([`TriSimulator::possible_states`]); the
-//!   optimizer turns those into leakage bounds for pruning and ordering the
-//!   state tree.
+//!   states form a cube ([`TriSimulator::gate_cube`]); the optimizer turns
+//!   those into leakage bounds for pruning and ordering the state tree,
+//!   re-bounding only the gates each decision touched
+//!   ([`TriSimulator::touched`]).
 //! * [`PackedSimulator`] / [`PackedTriSimulator`] — bit-parallel word-level
 //!   engines: one `u64` plane per net packs 64 vectors per lane
 //!   ([`packed`] module docs spell out the lane order, tail masking and

@@ -215,8 +215,9 @@ pub fn vector_leakage_batch(
 /// input vectors (the "average leakage by random (10K) vectors" column of
 /// the paper's Tables 3–5), evaluated 64 vectors per DAG sweep.
 ///
-/// Deterministic for a given `seed` under the packed sampling contract
-/// described in the [module docs](self).
+/// Deterministic for a given `seed` under the packed sampling contract:
+/// one `next_u64` per primary input per 64-vector word block, in input
+/// order, so the estimate is bit-identical at any worker count.
 ///
 /// # Errors
 ///
