@@ -49,33 +49,34 @@ rm -f "$CKPT" "$CKPT".*
 echo "==> sim bench (packed vs scalar Monte-Carlo, gated at 10x)"
 # The word-level simulator must beat the scalar reference by at least 10x
 # (the measured margin is far larger; the gate only catches regressions).
+# Every `svtox bench` gate is a constant of the bench; a run whose
+# headline misses it (or is not a number) exits non-zero.
 mkdir -p results
 cargo run --release -p svtox-cli --bin svtox -- \
-  suite --sim-bench --json --min-speedup 10 --out results/BENCH_sim.json > /dev/null
+  bench sim --json --out results/BENCH_sim.json > /dev/null
+grep -q '"bench":"sim"' results/BENCH_sim.json
 
 echo "==> portfolio bench (portfolio vs single engine at the same deadline)"
 # The strategy portfolio must match or beat the single engine on every
-# suite circuit at the same wall-clock deadline (0.1% noise band covers
+# bench circuit at the same 1.5 s deadline (0.1% noise band covers
 # scheduler jitter where the two searches converge); the subcommand
 # exits non-zero on any regression. The greps assert the recorded
 # artifact agrees and that a winning strategy is reported per circuit.
 mkdir -p results
 cargo run --release -p svtox-cli --bin svtox -- \
-  suite --portfolio-bench --deadline 1.5 --threads 4 --json \
-  --out results/BENCH_portfolio.json > /dev/null
+  bench portfolio --threads 4 --json --out results/BENCH_portfolio.json > /dev/null
 grep -q '"regressions":0' results/BENCH_portfolio.json
 grep -q '"winner":"' results/BENCH_portfolio.json
 
 echo "==> eco bench (warm ECO re-optimization vs cold re-run, gated at 2x)"
 # After the standard edit scripts, the warm-seeded rerun must reach the
-# cold run's final quality at least 2x faster on every suite circuit
+# cold run's final quality at least 2x faster on every bench circuit
 # (the measured margin is far larger; the gate only catches regressions).
 # The two new differential oracles behind this path — netlist.edit_eq_rebuild
 # and core.eco_eq_cold — run as part of the `svtox check` step above.
 mkdir -p results
 cargo run --release -p svtox-cli --bin svtox -- \
-  suite --eco-bench --deadline 3 --threads 4 --json --min-speedup 2 \
-  --out results/BENCH_eco.json > /dev/null
+  bench eco --threads 4 --json --out results/BENCH_eco.json > /dev/null
 grep -q '"bench":"eco"' results/BENCH_eco.json
 
 echo "==> serve smoke (in-process server, 50-job load, metrics + clean shutdown)"

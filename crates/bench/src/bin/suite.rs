@@ -18,38 +18,15 @@ use svtox_bench::{run_suite, ua, x_factor, BenchArgs};
 use svtox_exec::ExecConfig;
 use svtox_obs::{json, JsonlSink, Obs};
 
-fn threads_from_env() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let value = args.next().expect("--threads needs a value");
-            return value.parse().expect("--threads needs an integer");
-        }
-    }
-    1
-}
-
-fn trace_from_env() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return Some(args.next().expect("--trace needs a file path"));
-        }
-    }
-    None
-}
-
 fn main() {
     let args = BenchArgs::from_env();
-    let exec = ExecConfig::with_threads(threads_from_env());
-    let as_json = std::env::args().any(|a| a == "--json");
-    let trace = trace_from_env();
-    let obs = if as_json || trace.is_some() {
+    let exec = ExecConfig::with_threads(args.threads);
+    let obs = if args.json || args.trace.is_some() {
         Obs::enabled()
     } else {
         Obs::disabled()
     };
-    if let Some(path) = &trace {
+    if let Some(path) = &args.trace {
         let sink = JsonlSink::to_file(path).expect("trace file creates");
         obs.set_sink(Box::new(sink));
     }
@@ -58,7 +35,7 @@ fn main() {
     obs.emit_counters();
     obs.flush();
 
-    if as_json {
+    if args.json {
         // One JSON document on stdout: suite entries + final counters.
         let mut root = std::collections::BTreeMap::new();
         let list: Vec<json::Value> = entries

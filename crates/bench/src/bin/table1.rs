@@ -1,13 +1,16 @@
 //! Table 1: delay/leakage trade-offs of the NAND2 cell versions per input
 //! state (leakage in nA, delays normalized to the fast version, per pin).
 
-use svtox_bench::default_library;
+use svtox_bench::{default_library, BenchArgs};
 use svtox_cells::InputState;
 use svtox_netlist::GateKind;
 use svtox_sta::GateConfig;
 use svtox_tech::{Capacitance, Time};
 
 fn main() {
+    // The table takes no workload flags, but a typo still fails with a
+    // usage error like in every harness binary.
+    let _ = BenchArgs::from_env();
     let library = default_library();
     let cell = library.cell(GateKind::Nand(2)).expect("NAND2 in library");
     let load = Capacitance::new(4.0);

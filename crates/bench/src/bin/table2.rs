@@ -1,11 +1,14 @@
 //! Table 2: number of library cell versions needed per cell type, for 4 and
 //! 2 trade-off points per input state.
 
-use svtox_bench::{default_library, library_with};
+use svtox_bench::{default_library, library_with, BenchArgs};
 use svtox_cells::{LibraryOptions, TradeoffPoints};
 use svtox_netlist::GateKind;
 
 fn main() {
+    // The table takes no workload flags, but a typo still fails with a
+    // usage error like in every harness binary.
+    let _ = BenchArgs::from_env();
     let four = default_library();
     let two = library_with(LibraryOptions {
         tradeoff_points: TradeoffPoints::Two,

@@ -17,7 +17,8 @@
 //!
 //! Run with `cargo run --release -p svtox-bench --bin <target>`; pass
 //! `--quick` for a fast smoke pass (fewer vectors, short Heuristic-2
-//! budget, small circuits only).
+//! budget, small circuits only). Every binary takes the flag set of
+//! [`BenchArgs`] and exits with a usage error on any other argument.
 
 use std::time::Duration;
 
@@ -48,52 +49,86 @@ pub struct BenchArgs {
     pub budget: Option<Duration>,
     /// Circuits to run (paper order).
     pub circuits: Vec<&'static str>,
+    /// Worker threads for the suite runner (`0` = one per CPU).
+    pub threads: usize,
+    /// Print one machine-readable JSON document instead of the table.
+    pub json: bool,
+    /// Write the JSONL event trace to this path.
+    pub trace: Option<String>,
 }
 
+/// The flags every harness binary accepts.
+pub const USAGE: &str = "[--quick] [--budget SECONDS] [--threads N] [--json] [--trace FILE]";
+
 impl BenchArgs {
-    /// Parses process arguments (`--quick`, `--budget SECONDS`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--budget` is missing its value or it is not a
-    /// non-negative number of seconds.
+    /// Parses the process arguments; prints the error and [`USAGE`] and
+    /// exits with status 2 on an unknown flag or a bad value.
     #[must_use]
     pub fn from_env() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick");
-        let mut out = Self::new(quick);
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            if a == "--budget" {
-                let value = args.next().expect("--budget needs a value in seconds");
-                let secs: f64 = value.parse().expect("--budget needs a number of seconds");
-                out.budget =
-                    Some(Duration::try_from_secs_f64(secs).expect("--budget must be >= 0"));
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {program} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses harness arguments (excluding the program name).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown flag, a missing value, or a value
+    /// that is not a non-negative number.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut out = Self::new(args.iter().any(|a| a == "--quick"));
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--quick" => {}
+                "--budget" => {
+                    let secs = Duration::try_from_secs_f64(parsed(it.next(), a)?);
+                    out.budget = Some(secs.map_err(|_| format!("{a} must be >= 0"))?);
+                }
+                "--threads" => out.threads = parsed(it.next(), a)?,
+                "--json" => out.json = true,
+                "--trace" => out.trace = Some(parsed(it.next(), a)?),
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Builds a configuration.
     #[must_use]
     pub fn new(quick: bool) -> Self {
-        if quick {
-            Self {
-                quick,
-                vectors: 500,
-                h2_budget: Duration::from_millis(500),
-                budget: None,
-                circuits: vec!["c432", "c499", "c880"],
-            }
+        let (vectors, h2_budget, circuits) = if quick {
+            (
+                500,
+                Duration::from_millis(500),
+                vec!["c432", "c499", "c880"],
+            )
         } else {
-            Self {
-                quick,
-                vectors: 10_000,
-                h2_budget: Duration::from_secs(8),
-                budget: None,
-                circuits: benchmark_names(),
-            }
+            (10_000, Duration::from_secs(8), benchmark_names())
+        };
+        Self {
+            quick,
+            vectors,
+            h2_budget,
+            budget: None,
+            circuits,
+            threads: 1,
+            json: false,
+            trace: None,
         }
     }
+}
+
+/// The value after `flag`, parsed.
+fn parsed<T: std::str::FromStr>(raw: Option<&String>, flag: &str) -> Result<T, String> {
+    let raw = raw.ok_or(format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag} got the unusable value `{raw}`"))
 }
 
 /// Builds the default characterized library.
@@ -359,6 +394,32 @@ mod tests {
     }
 
     #[test]
+    fn parse_owns_the_whole_flag_set() {
+        let argv = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        let args = BenchArgs::parse(&argv(
+            "--threads 4 --quick --json --trace t.jsonl --budget 0.5",
+        ))
+        .unwrap();
+        assert!(args.quick && args.json);
+        assert_eq!(args.threads, 4);
+        assert_eq!(args.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(args.budget, Some(Duration::from_millis(500)));
+        let defaults = BenchArgs::parse(&[]).unwrap();
+        assert!(!defaults.quick && !defaults.json);
+        assert_eq!((defaults.threads, defaults.budget), (1, None));
+        // A typo is an error, not a full-size run on defaults.
+        for bad in [
+            "--thread 4",
+            "--threads -1",
+            "--budget -1",
+            "--budget",
+            "c432",
+        ] {
+            assert!(BenchArgs::parse(&argv(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn suite_runner_is_thread_count_invariant() {
         let args = BenchArgs {
             quick: true,
@@ -366,6 +427,7 @@ mod tests {
             h2_budget: Duration::from_millis(10),
             budget: None,
             circuits: vec!["c432"],
+            ..BenchArgs::new(true)
         };
         let penalties = [0.05, 0.25];
         let (serial, _) = run_suite(
@@ -401,6 +463,7 @@ mod tests {
             h2_budget: Duration::from_millis(10),
             budget: None,
             circuits: vec!["c432"],
+            ..BenchArgs::new(true)
         };
         let penalties = [0.05, 0.25];
         // Algorithmic counters (core.*, sta.*, sim.*) must not depend on
@@ -448,6 +511,7 @@ mod tests {
             h2_budget: Duration::from_millis(10),
             budget: Some(Duration::ZERO),
             circuits: vec!["c432"],
+            ..BenchArgs::new(true)
         };
         let penalties = [0.05, 0.25];
         let (degraded, _) = run_suite(

@@ -25,6 +25,10 @@
 //!   fuzzing, RNG uniformity, device-model calibration).
 //! * [`report`] — per-property pass/fail/counterexample reports with text
 //!   and deterministic JSON rendering.
+//! * [`random_average_leakage_scalar`] — the pre-packed scalar
+//!   Monte-Carlo estimator, kept as the reference the packed production
+//!   estimator is benchmarked and checked against, with pinned per-seed
+//!   estimates.
 //!
 //! The CLI exposes the suite as `svtox check`; `tests/differential.rs`
 //! runs it under `cargo test`.
@@ -34,11 +38,13 @@
 
 pub mod corpus;
 pub mod domain;
+mod random;
 pub mod report;
 pub mod runner;
 pub mod strategy;
 pub mod suite;
 
+pub use random::random_average_leakage_scalar;
 pub use report::{render_json, render_text, Counterexample, PropertyReport};
 pub use runner::{check_property, CheckConfig};
 pub use strategy::{choice, int_range, vec_of, weighted, Strategy};

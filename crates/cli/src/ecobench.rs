@@ -1,7 +1,7 @@
-//! The `svtox suite --eco-bench` benchmark: warm-seeded ECO
-//! re-optimization vs a cold restart after a local netlist edit.
+//! The `svtox bench eco` measurement: warm-seeded ECO re-optimization vs
+//! a cold restart after a local netlist edit.
 //!
-//! For each suite circuit the bench optimizes the pristine netlist once
+//! For each bench circuit the bench optimizes the pristine netlist once
 //! (the solution an ECO flow would have on hand), applies a standard edit
 //! script (adds, a removal, PO-driver rewires — the shape of a typical
 //! engineering change order), and then races two engines on the post-edit
@@ -17,10 +17,11 @@
 //! [`SharedMinF64`]; a watcher thread samples it into a (time, cost)
 //! trajectory. The score is *time to quality*: with `Q` the worse of the
 //! two final costs (a quality level both engines provably reached),
-//! `speedup = t_cold(Q) / t_eco(Q)`. CI gates the minimum per-circuit
-//! speedup (warm reuse must pay for itself on every circuit) and records
-//! the report to `results/BENCH_eco.json`.
+//! `speedup = t_cold(Q) / t_eco(Q)`. The minimum per-circuit speedup is
+//! the headline [`Bench::Eco`]'s gate reads: warm reuse must pay for
+//! itself on every circuit.
 
+use std::error::Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -34,10 +35,8 @@ use svtox_obs::json::Value;
 use svtox_sta::TimingConfig;
 use svtox_tech::Technology;
 
+use crate::bench::{num, obj, Bench, Record, CIRCUITS};
 use crate::CliError;
-
-/// Circuits the bench sweeps (same set as the other suite benches).
-const CIRCUITS: [&str; 3] = ["c432", "c880", "c1908"];
 
 /// Floor applied to measured times before dividing, in milliseconds: one
 /// watcher sampling period, so a warm seed that lands inside the first
@@ -48,134 +47,6 @@ const MIN_MS: f64 = 0.5;
 /// Relative slack when matching a trajectory point against the target
 /// cost (float noise between the shared cell and the final solution).
 const REL_EPS: f64 = 1e-9;
-
-/// One circuit's cold-vs-eco measurement.
-#[derive(Debug, Clone)]
-pub struct EcoBenchRow {
-    /// Benchmark name.
-    pub circuit: String,
-    /// Post-edit gate count.
-    pub gates: usize,
-    /// Primary input count (the search dimension).
-    pub inputs: usize,
-    /// Operations in the standard edit script.
-    pub edit_ops: usize,
-    /// Cold final leakage in µA.
-    pub cold_ua: f64,
-    /// Eco final leakage in µA.
-    pub eco_ua: f64,
-    /// Time for the cold incumbent to reach the shared target, ms.
-    pub t_cold_ms: f64,
-    /// Time for the warm incumbent to reach the shared target, ms.
-    pub t_eco_ms: f64,
-    /// `t_cold_ms / t_eco_ms` (both floored at 0.5 ms, one watcher
-    /// sampling period).
-    pub speedup: f64,
-    /// Warm candidates offered to the eco run.
-    pub warm_candidates: usize,
-    /// Warm candidates actually evaluated (length-compatible).
-    pub warm_evaluated: usize,
-    /// Fraction of post-edit gates carried over from before the edit.
-    pub carry_ratio: f64,
-}
-
-/// The full eco-bench result.
-#[derive(Debug, Clone)]
-pub struct EcoBenchReport {
-    /// Per-circuit measurements.
-    pub rows: Vec<EcoBenchRow>,
-    /// Deadline both engines ran under, in milliseconds.
-    pub deadline_ms: f64,
-    /// Worker threads (`0` = one per CPU).
-    pub threads: usize,
-    /// The smallest per-circuit speedup (the CI gate watches this).
-    pub min_speedup: f64,
-}
-
-impl EcoBenchReport {
-    /// Human-readable table.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<8} {:>7} {:>7} {:>5} {:>10} {:>10} {:>10} {:>10} {:>9}\n",
-            "circuit",
-            "gates",
-            "inputs",
-            "edits",
-            "cold µA",
-            "eco µA",
-            "t_cold ms",
-            "t_eco ms",
-            "speedup"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<8} {:>7} {:>7} {:>5} {:>10.2} {:>10.2} {:>10.1} {:>10.1} {:>8.1}x\n",
-                r.circuit,
-                r.gates,
-                r.inputs,
-                r.edit_ops,
-                r.cold_ua,
-                r.eco_ua,
-                r.t_cold_ms,
-                r.t_eco_ms,
-                r.speedup
-            ));
-        }
-        out.push_str(&format!(
-            "deadline: {:.0} ms, minimum speedup: {:.1}x\n",
-            self.deadline_ms, self.min_speedup
-        ));
-        out
-    }
-
-    /// Deterministic-key JSON (the `results/BENCH_eco.json` schema).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let row = |r: &EcoBenchRow| {
-            Value::Obj(
-                [
-                    ("circuit".to_string(), Value::Str(r.circuit.clone())),
-                    ("gates".to_string(), Value::Num(r.gates as f64)),
-                    ("inputs".to_string(), Value::Num(r.inputs as f64)),
-                    ("edit_ops".to_string(), Value::Num(r.edit_ops as f64)),
-                    ("cold_ua".to_string(), Value::Num(r.cold_ua)),
-                    ("eco_ua".to_string(), Value::Num(r.eco_ua)),
-                    ("t_cold_ms".to_string(), Value::Num(r.t_cold_ms)),
-                    ("t_eco_ms".to_string(), Value::Num(r.t_eco_ms)),
-                    ("speedup".to_string(), Value::Num(r.speedup)),
-                    (
-                        "warm_candidates".to_string(),
-                        Value::Num(r.warm_candidates as f64),
-                    ),
-                    (
-                        "warm_evaluated".to_string(),
-                        Value::Num(r.warm_evaluated as f64),
-                    ),
-                    ("carry_ratio".to_string(), Value::Num(r.carry_ratio)),
-                ]
-                .into_iter()
-                .collect(),
-            )
-        };
-        Value::Obj(
-            [
-                ("bench".to_string(), Value::Str("eco".to_string())),
-                ("deadline_ms".to_string(), Value::Num(self.deadline_ms)),
-                ("threads".to_string(), Value::Num(self.threads as f64)),
-                (
-                    "rows".to_string(),
-                    Value::Arr(self.rows.iter().map(row).collect()),
-                ),
-                ("min_speedup".to_string(), Value::Num(self.min_speedup)),
-            ]
-            .into_iter()
-            .collect(),
-        )
-        .to_string()
-    }
-}
 
 /// The standard bench edit script for a circuit: two added gates feeding
 /// a rewired primary-output driver, a second rewire on another output,
@@ -257,20 +128,18 @@ where
 ///
 /// Returns an error if a circuit or the library fails to build, or if
 /// either engine fails outright.
-pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchReport, CliError> {
-    let library = Library::new(Technology::predictive_65nm(), LibraryOptions::default())
-        .map_err(|e| CliError(e.to_string()))?;
+pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<Record, Box<dyn Error>> {
+    let library = Library::new(Technology::predictive_65nm(), LibraryOptions::default())?;
     let exec = ExecConfig::with_threads(threads)
         .with_time_budget(deadline)
         .with_retries(RetryPolicy::resilient());
-    let penalty = DelayPenalty::new(0.05).map_err(|e| CliError(e.to_string()))?;
+    let penalty = DelayPenalty::new(0.05)?;
     let deadline_ms = deadline.as_secs_f64() * 1e3;
     let mut rows = Vec::new();
     let mut min_speedup = f64::INFINITY;
     for name in CIRCUITS {
-        let pre = benchmark(name).map_err(|e| CliError(e.to_string()))?;
-        let pre_problem = Problem::new(&pre, &library, TimingConfig::default())
-            .map_err(|e| CliError(e.to_string()))?;
+        let pre = benchmark(name)?;
+        let pre_problem = Problem::new(&pre, &library, TimingConfig::default())?;
         let pre_opt = pre_problem.optimizer(penalty, Mode::Proposed);
         let (prev, _) = pre_opt
             .heuristic2(&exec)
@@ -282,8 +151,7 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
         let trace = script
             .apply(&mut post)
             .map_err(|e| CliError(format!("{name}: {e}")))?;
-        let post_problem = Problem::new(&post, &library, TimingConfig::default())
-            .map_err(|e| CliError(e.to_string()))?;
+        let post_problem = Problem::new(&post, &library, TimingConfig::default())?;
         let post_opt = post_problem.optimizer(penalty, Mode::Proposed);
 
         let (cold_traj, cold) = trace_run(|shared| {
@@ -311,69 +179,43 @@ pub fn run_eco_bench(deadline: Duration, threads: usize) -> Result<EcoBenchRepor
         let t_eco_ms = time_to(&eco_traj, target, deadline_ms).max(MIN_MS);
         let speedup = t_cold_ms / t_eco_ms;
         min_speedup = min_speedup.min(speedup);
-        rows.push(EcoBenchRow {
-            circuit: name.to_string(),
-            gates: post.num_gates(),
-            inputs: post.num_inputs(),
-            edit_ops: script.len(),
-            cold_ua: cold.leakage.as_micro_amps(),
-            eco_ua: eco.leakage.as_micro_amps(),
-            t_cold_ms,
-            t_eco_ms,
-            speedup,
-            warm_candidates: warm.candidates,
-            warm_evaluated: warm.evaluated,
-            carry_ratio,
-        });
+        rows.push(obj([
+            ("circuit", Value::Str(name.to_string())),
+            ("gates", num(post.num_gates())),
+            ("inputs", num(post.num_inputs())),
+            ("edit_ops", num(script.len())),
+            ("cold_ua", Value::Num(cold.leakage.as_micro_amps())),
+            ("eco_ua", Value::Num(eco.leakage.as_micro_amps())),
+            ("t_cold_ms", Value::Num(t_cold_ms)),
+            ("t_eco_ms", Value::Num(t_eco_ms)),
+            ("speedup", Value::Num(speedup)),
+            ("warm_candidates", num(warm.candidates)),
+            ("warm_evaluated", num(warm.evaluated)),
+            ("carry_ratio", Value::Num(carry_ratio)),
+        ]));
     }
-    Ok(EcoBenchReport {
+    if !min_speedup.is_finite() {
+        min_speedup = 0.0;
+    }
+    Ok(Record {
+        bench: Bench::Eco,
+        scalars: vec![
+            ("deadline_ms", Value::Num(deadline_ms)),
+            ("threads", num(threads)),
+            ("min_speedup", Value::Num(min_speedup)),
+        ],
         rows,
-        deadline_ms,
-        threads,
-        min_speedup: if min_speedup.is_finite() {
-            min_speedup
-        } else {
-            0.0
-        },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::tests::{assert_renders, assert_schema, field};
 
     #[test]
     fn report_renders_parseable_json_with_all_rows() {
-        let report = EcoBenchReport {
-            rows: vec![EcoBenchRow {
-                circuit: "c432".to_string(),
-                gates: 162,
-                inputs: 36,
-                edit_ops: 6,
-                cold_ua: 11.7,
-                eco_ua: 11.6,
-                t_cold_ms: 840.0,
-                t_eco_ms: 12.0,
-                speedup: 70.0,
-                warm_candidates: 1,
-                warm_evaluated: 1,
-                carry_ratio: 0.987,
-            }],
-            deadline_ms: 1500.0,
-            threads: 4,
-            min_speedup: 70.0,
-        };
-        let json = report.render_json();
-        let parsed = svtox_obs::json::parse(&json).unwrap();
-        assert_eq!(
-            parsed.get("min_speedup").and_then(Value::as_f64),
-            Some(70.0)
-        );
-        let Some(Value::Arr(rows)) = parsed.get("rows") else {
-            panic!("rows missing");
-        };
-        assert_eq!(rows[0].get("circuit").and_then(Value::as_str), Some("c432"));
-        assert!(report.render_text().contains("minimum speedup"));
+        assert_renders(Bench::Eco, 70.0, "min_speedup: 70");
     }
 
     #[test]
@@ -389,13 +231,17 @@ mod tests {
     fn a_zero_deadline_run_reports_every_circuit_without_gating() {
         // Both engines fall back on their seeds immediately; the
         // release-mode comparison with a real deadline runs in ci.sh.
-        let report = run_eco_bench(Duration::ZERO, 2).unwrap();
-        assert_eq!(report.rows.len(), CIRCUITS.len());
-        for row in &report.rows {
-            assert!(row.cold_ua > 0.0 && row.eco_ua > 0.0, "{}", row.circuit);
-            assert_eq!(row.warm_candidates, 1, "{}", row.circuit);
-            assert!(row.carry_ratio > 0.9, "{}", row.circuit);
-            assert!(row.speedup > 0.0, "{}", row.circuit);
+        let record = run_eco_bench(Duration::ZERO, 2).unwrap();
+        assert_schema(&record);
+        assert_eq!(record.rows.len(), CIRCUITS.len());
+        for row in &record.rows {
+            assert!(
+                field(row, "cold_ua") > 0.0 && field(row, "eco_ua") > 0.0,
+                "{row}"
+            );
+            assert_eq!(field(row, "warm_candidates"), 1.0, "{row}");
+            assert!(field(row, "carry_ratio") > 0.9, "{row}");
+            assert!(field(row, "speedup") > 0.0, "{row}");
         }
     }
 }

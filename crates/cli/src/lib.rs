@@ -7,8 +7,9 @@
 //! * `sweep <circuit>` — leakage vs delay-penalty curve (Figure-5 style);
 //! * `library` — summarize or export the characterized library;
 //! * `report` — per-gate trade-off-point histogram + critical path;
-//! * `suite` — list the built-in benchmark reconstructions, or run the
-//!   packed-vs-scalar simulation micro-benchmark (`--sim-bench`);
+//! * `suite` — list the built-in benchmark reconstructions;
+//! * `bench <sim|portfolio|eco>` — run one registered benchmark and check
+//!   its gate (see [`mod@bench`]);
 //! * `check` — run the property-based differential oracle suite
 //!   (`svtox-check`) with per-property pass/fail/counterexample reporting;
 //! * `chaos` — run named fault-injection scenarios and assert the
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod chaos;
 pub mod ecobench;
 pub mod portbench;
@@ -49,6 +51,7 @@ use svtox_sim::{random_average_leakage, random_average_leakage_parallel, Simulat
 use svtox_sta::{GateConfig, Sta, TimingConfig};
 use svtox_tech::{Current, Technology};
 
+pub use bench::{Bench, BenchArgs};
 pub use chaos::{run_chaos, ChaosArgs};
 
 /// Parsed command line.
@@ -63,7 +66,9 @@ pub enum Command {
     /// `report` subcommand.
     Report(SweepArgs),
     /// `suite` subcommand.
-    Suite(SuiteArgs),
+    Suite,
+    /// `bench` subcommand.
+    Bench(BenchArgs),
     /// `check` subcommand.
     Check(CheckArgs),
     /// `chaos` subcommand.
@@ -146,51 +151,6 @@ pub struct LoadgenArgs {
     pub runners: usize,
     /// Seed for the connection-retry backoff jitter.
     pub retry_seed: u64,
-}
-
-/// Arguments of `svtox suite`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteArgs {
-    /// Run the packed-vs-scalar simulation micro-benchmark instead of
-    /// listing the benchmark reconstructions.
-    pub sim_bench: bool,
-    /// Run the portfolio-vs-single engine benchmark instead of listing
-    /// the benchmark reconstructions.
-    pub portfolio_bench: bool,
-    /// Run the warm-ECO-vs-cold-restart benchmark instead of listing the
-    /// benchmark reconstructions.
-    pub eco_bench: bool,
-    /// Vectors per packed estimator call in the micro-benchmark.
-    pub vectors: usize,
-    /// Deadline both engines run under (portfolio-bench only).
-    pub deadline: Duration,
-    /// Worker threads for the engines (portfolio-bench only; `0` = one
-    /// per CPU).
-    pub threads: usize,
-    /// Write the JSON report to this path (bench modes only).
-    pub out: Option<String>,
-    /// Fail (non-zero exit) if the aggregate (sim-bench) or minimum
-    /// per-circuit (eco-bench) speedup falls below this factor (`0`
-    /// disables the gate).
-    pub min_speedup: f64,
-    /// Emit the report as JSON instead of text.
-    pub json: bool,
-}
-
-impl Default for SuiteArgs {
-    fn default() -> Self {
-        Self {
-            sim_bench: false,
-            portfolio_bench: false,
-            eco_bench: false,
-            vectors: 4096,
-            deadline: Duration::from_millis(1500),
-            threads: 0,
-            out: None,
-            min_speedup: 0.0,
-            json: false,
-        }
-    }
 }
 
 /// Arguments of `svtox check`.
@@ -312,10 +272,8 @@ USAGE:
   svtox sweep <circuit|file.bench> [--penalties 0,5,10,25,100]
   svtox library [--two-option] [--uniform-stack] [--liberty FILE]
   svtox report <circuit|file.bench> [--penalties 5]
-  svtox suite [--sim-bench [--vectors N]]
-              [--portfolio-bench] [--eco-bench]
-              [--deadline SECONDS] [--threads N]
-              [--min-speedup X] [--out FILE] [--json]
+  svtox suite
+  svtox bench <sim|portfolio|eco> [--threads N] [--json] [--out FILE]
   svtox check [--cases N] [--seed S] [--shrink-limit K] [--threads N]
               [--json] [--corpus DIR] [--property NAME] [--replay STREAMSEED]
   svtox chaos <scenario>|--all [--seed S] [--threads N] [--target CIRCUIT]
@@ -392,15 +350,14 @@ samples a `--vectors N` Monte-Carlo baseline (default 256; 0 disables).
 Connection-refused/reset submissions retry with bounded seeded-jitter
 backoff (`--retry-seed`), so a loadgen run spans a server restart.
 
-`suite --sim-bench` measures the packed word-level simulation core
-against the scalar reference estimator (vectors·gates per second) on a
-sim-heavy circuit set; `--out FILE` records the JSON report and
-`--min-speedup X` turns the aggregate speedup into a CI gate.
-`suite --portfolio-bench` races the strategy portfolio against the
-single-strategy engine at the same `--deadline` on the suite circuits,
-reporting the winning strategy and final cost per circuit (`--json`, or
-`--out results/BENCH_portfolio.json`); any circuit where the portfolio
-ends above the single engine's cost fails the command.
+Benchmarks: `bench NAME` runs one benchmark at its fixed size on c432,
+c880 and c1908, prints its record (`--json` for JSON; `--out FILE` also
+writes it) and exits non-zero when the headline misses the bench's fixed
+gate or is not a number. `sim`: packed vs scalar Monte-Carlo throughput,
+aggregate speedup >= 10x. `portfolio`: the strategy portfolio vs the
+single engine at 1.5 s, 0 circuits where the portfolio ends costlier.
+`eco`: see ECO below. `--threads N` sets the engines' workers (0 = one
+per CPU); the sim bench is serial.
 
 ECO: `eco` applies an edit script to a circuit (`add t = NAND(a, b)`,
 `remove t`, `rewire NET PIN NEWNET`, `retag OLDPO NEWPO`; `#` comments)
@@ -411,10 +368,9 @@ that seed the shared pruning bound, so untouched cones are never searched
 from scratch. The report shows the reused-vs-recomputed split — gates
 carried over, warm candidates evaluated, and how few gates the
 incremental timing analyzer had to revisit. The answer is bit-identical
-to a cold re-run at any thread count. `suite --eco-bench` races that warm
-restart against a cold restart on the suite circuits at the same
-`--deadline` and scores time-to-quality; `--min-speedup X` gates the
-slowest circuit's ratio (CI records `results/BENCH_eco.json`).
+to a cold re-run at any thread count. `bench eco` races that warm
+restart against a cold restart at a 3 s deadline, scores time-to-quality
+per circuit, and needs the slowest circuit's ratio to be at least 2x.
 ";
 
 /// Parses raw arguments (excluding the program name).
@@ -556,44 +512,35 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Library(args))
         }
-        "suite" => {
-            let mut args = SuiteArgs::default();
+        "suite" => match it.next() {
+            None => Ok(Command::Suite),
+            Some(other) => Err(CliError(format!("unknown flag `{other}`"))),
+        },
+        "bench" => {
+            let name = it
+                .next()
+                .ok_or_else(|| CliError("bench needs a name: sim, portfolio or eco".into()))?;
+            let bench = Bench::ALL.into_iter().find(|b| b.name() == name);
+            let bench = bench.ok_or_else(|| {
+                CliError(format!(
+                    "unknown bench `{name}` (expected sim, portfolio or eco)"
+                ))
+            })?;
+            let mut args = BenchArgs {
+                bench,
+                threads: 0,
+                json: false,
+                out: None,
+            };
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--sim-bench" => args.sim_bench = true,
-                    "--portfolio-bench" => args.portfolio_bench = true,
-                    "--eco-bench" => args.eco_bench = true,
-                    "--vectors" => args.vectors = uint(&mut it, "--vectors")?,
-                    "--deadline" => args.deadline = seconds(&mut it, "--deadline")?,
                     "--threads" => args.threads = uint(&mut it, "--threads")?,
-                    "--out" => args.out = Some(next(&mut it, "--out")?),
-                    "--min-speedup" => args.min_speedup = pct(&mut it)?,
                     "--json" => args.json = true,
+                    "--out" => args.out = Some(next(&mut it, "--out")?),
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
             }
-            let benches = usize::from(args.sim_bench)
-                + usize::from(args.portfolio_bench)
-                + usize::from(args.eco_bench);
-            if benches > 1 {
-                return Err(CliError(
-                    "--sim-bench, --portfolio-bench and --eco-bench are mutually exclusive".into(),
-                ));
-            }
-            if benches == 0 && (args.out.is_some() || args.min_speedup > 0.0) {
-                return Err(CliError(
-                    "--out/--min-speedup only apply with a bench mode".into(),
-                ));
-            }
-            if args.min_speedup > 0.0 && args.portfolio_bench {
-                return Err(CliError(
-                    "--min-speedup only applies with --sim-bench or --eco-bench".into(),
-                ));
-            }
-            if args.min_speedup < 0.0 {
-                return Err(CliError("--min-speedup must be non-negative".into()));
-            }
-            Ok(Command::Suite(args))
+            Ok(Command::Bench(args))
         }
         "check" => {
             let mut args = CheckArgs {
@@ -881,109 +828,24 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
     let mut out = String::new();
     match command {
         Command::Help => out.push_str(USAGE),
-        Command::Suite(args) => {
-            if args.sim_bench {
-                let report = simbench::run_sim_bench(args.vectors)?;
-                let rendered = if args.json {
-                    let mut json = report.render_json();
-                    json.push('\n');
-                    json
-                } else {
-                    report.render_text()
-                };
-                if let Some(path) = &args.out {
-                    if let Some(dir) = std::path::Path::new(path).parent() {
-                        if !dir.as_os_str().is_empty() {
-                            std::fs::create_dir_all(dir)?;
-                        }
-                    }
-                    let mut json = report.render_json();
-                    json.push('\n');
-                    std::fs::write(path, json)?;
-                }
-                if args.min_speedup > 0.0 && report.speedup < args.min_speedup {
-                    return Err(Box::new(CliError(format!(
-                        "sim-bench aggregate speedup {:.1}x is below the required {:.1}x\n{rendered}",
-                        report.speedup, args.min_speedup
-                    ))));
-                }
-                out.push_str(&rendered);
-            } else if args.portfolio_bench {
-                let report = portbench::run_portfolio_bench(args.deadline, args.threads)?;
-                let rendered = if args.json {
-                    let mut json = report.render_json();
-                    json.push('\n');
-                    json
-                } else {
-                    report.render_text()
-                };
-                if let Some(path) = &args.out {
-                    if let Some(dir) = std::path::Path::new(path).parent() {
-                        if !dir.as_os_str().is_empty() {
-                            std::fs::create_dir_all(dir)?;
-                        }
-                    }
-                    let mut json = report.render_json();
-                    json.push('\n');
-                    std::fs::write(path, json)?;
-                }
-                // The invariant the bench exists to watch: racing more
-                // strategies over a shared incumbent never loses to the
-                // single engine at the same deadline.
-                if report.regressions > 0 {
-                    return Err(Box::new(CliError(format!(
-                        "portfolio-bench: {} circuit(s) regressed vs the single engine\n{rendered}",
-                        report.regressions
-                    ))));
-                }
-                out.push_str(&rendered);
-            } else if args.eco_bench {
-                let report = ecobench::run_eco_bench(args.deadline, args.threads)?;
-                let rendered = if args.json {
-                    let mut json = report.render_json();
-                    json.push('\n');
-                    json
-                } else {
-                    report.render_text()
-                };
-                if let Some(path) = &args.out {
-                    if let Some(dir) = std::path::Path::new(path).parent() {
-                        if !dir.as_os_str().is_empty() {
-                            std::fs::create_dir_all(dir)?;
-                        }
-                    }
-                    let mut json = report.render_json();
-                    json.push('\n');
-                    std::fs::write(path, json)?;
-                }
-                // The invariant the bench exists to watch: the warm
-                // restart reaches the shared quality level faster than a
-                // cold restart on every circuit.
-                if args.min_speedup > 0.0 && report.min_speedup < args.min_speedup {
-                    return Err(Box::new(CliError(format!(
-                        "eco-bench minimum speedup {:.1}x is below the required {:.1}x\n{rendered}",
-                        report.min_speedup, args.min_speedup
-                    ))));
-                }
-                out.push_str(&rendered);
-            } else {
+        Command::Bench(args) => out.push_str(&bench::run_bench(&args)?),
+        Command::Suite => {
+            writeln!(
+                out,
+                "{:<8} {:>7} {:>8} {:>8}  realization",
+                "name", "inputs", "outputs", "gates"
+            )?;
+            for p in BenchmarkProfile::all() {
+                let n = p.build()?;
                 writeln!(
                     out,
-                    "{:<8} {:>7} {:>8} {:>8}  realization",
-                    "name", "inputs", "outputs", "gates"
+                    "{:<8} {:>7} {:>8} {:>8}  {}",
+                    p.name,
+                    n.num_inputs(),
+                    n.num_outputs(),
+                    n.num_gates(),
+                    realization_note(p.name)
                 )?;
-                for p in BenchmarkProfile::all() {
-                    let n = p.build()?;
-                    writeln!(
-                        out,
-                        "{:<8} {:>7} {:>8} {:>8}  {}",
-                        p.name,
-                        n.num_inputs(),
-                        n.num_outputs(),
-                        n.num_gates(),
-                        realization_note(p.name)
-                    )?;
-                }
             }
         }
         Command::Check(args) => {
@@ -1578,21 +1440,21 @@ mod tests {
     #[test]
     fn parses_suite_eco_bench() {
         let cmd = parse_args(&argv(
-            "suite --eco-bench --deadline 2 --threads 4 --min-speedup 2 --out results/BENCH_eco.json",
+            "bench eco --threads 4 --json --out results/BENCH_eco.json",
         ))
         .unwrap();
-        let Command::Suite(args) = cmd else {
+        let Command::Bench(args) = cmd else {
             panic!("wrong command")
         };
-        assert!(args.eco_bench);
-        assert_eq!(args.deadline, Duration::from_secs(2));
+        assert_eq!(args.bench, Bench::Eco);
         assert_eq!(args.threads, 4);
-        assert!((args.min_speedup - 2.0).abs() < 1e-12);
+        assert!(args.json);
         assert_eq!(args.out.as_deref(), Some("results/BENCH_eco.json"));
-        // Bench modes stay mutually exclusive, and the speedup gate does
-        // not apply to the portfolio bench.
-        assert!(parse_args(&argv("suite --eco-bench --sim-bench")).is_err());
-        assert!(parse_args(&argv("suite --portfolio-bench --min-speedup 2")).is_err());
+        // The deadline and the gate are constants of the bench now; the
+        // old `suite` spelling is gone.
+        assert!(parse_args(&argv("bench eco --deadline 2")).is_err());
+        assert!(parse_args(&argv("bench eco --min-speedup 2")).is_err());
+        assert!(parse_args(&argv("suite --eco-bench")).is_err());
     }
 
     #[test]
@@ -1965,7 +1827,7 @@ mod tests {
 
     #[test]
     fn suite_lists_all_rows() {
-        let out = run(Command::Suite(SuiteArgs::default())).unwrap();
+        let out = run(Command::Suite).unwrap();
         for name in ["c432", "c6288", "alu64"] {
             assert!(out.contains(name));
         }
@@ -1974,48 +1836,41 @@ mod tests {
 
     #[test]
     fn parses_suite_sim_bench() {
-        let Command::Suite(defaults) = parse_args(&argv("suite")).unwrap() else {
+        assert_eq!(parse_args(&argv("suite")).unwrap(), Command::Suite);
+        let cmd = parse_args(&argv("bench sim --out results/BENCH_sim.json --json")).unwrap();
+        let Command::Bench(args) = cmd else {
             panic!("wrong command")
         };
-        assert!(!defaults.sim_bench);
-        let cmd = parse_args(&argv(
-            "suite --sim-bench --vectors 8192 --out results/BENCH_sim.json \
-             --min-speedup 10 --json",
-        ))
-        .unwrap();
-        let Command::Suite(args) = cmd else {
-            panic!("wrong command")
-        };
-        assert!(args.sim_bench);
-        assert_eq!(args.vectors, 8192);
+        assert_eq!(args.bench, Bench::Sim);
+        assert_eq!(args.threads, 0);
         assert_eq!(args.out.as_deref(), Some("results/BENCH_sim.json"));
-        assert!((args.min_speedup - 10.0).abs() < 1e-12);
         assert!(args.json);
-        // The bench-only flags require the bench.
+        // The vector count and the 10x gate are constants of the bench:
+        // the old flags and the old `suite` spellings are unknown now.
+        assert!(parse_args(&argv("bench sim --min-speedup 10")).is_err());
+        assert!(parse_args(&argv("bench sim --vectors 8192")).is_err());
+        assert!(parse_args(&argv("suite --sim-bench")).is_err());
         assert!(parse_args(&argv("suite --out x.json")).is_err());
-        assert!(parse_args(&argv("suite --min-speedup 5")).is_err());
-        assert!(parse_args(&argv("suite --sim-bench --min-speedup -3")).is_err());
+        assert!(parse_args(&argv("bench")).is_err());
+        assert!(parse_args(&argv("bench serve")).is_err());
     }
 
     #[test]
     fn parses_suite_portfolio_bench() {
         let cmd = parse_args(&argv(
-            "suite --portfolio-bench --deadline 0.5 --threads 2 \
-             --out results/BENCH_portfolio.json --json",
+            "bench portfolio --threads 2 --out results/BENCH_portfolio.json --json",
         ))
         .unwrap();
-        let Command::Suite(args) = cmd else {
+        let Command::Bench(args) = cmd else {
             panic!("wrong command")
         };
-        assert!(args.portfolio_bench);
-        assert_eq!(args.deadline, Duration::from_millis(500));
+        assert_eq!(args.bench, Bench::Portfolio);
         assert_eq!(args.threads, 2);
         assert_eq!(args.out.as_deref(), Some("results/BENCH_portfolio.json"));
         assert!(args.json);
-        // The two benches are mutually exclusive, and the sim gate does
-        // not apply to the portfolio bench.
-        assert!(parse_args(&argv("suite --sim-bench --portfolio-bench")).is_err());
-        assert!(parse_args(&argv("suite --portfolio-bench --min-speedup 5")).is_err());
+        assert!(parse_args(&argv("bench portfolio --deadline 0.5")).is_err());
+        assert!(parse_args(&argv("bench portfolio --threads")).is_err());
+        assert!(parse_args(&argv("suite --portfolio-bench")).is_err());
     }
 
     #[test]

@@ -1,128 +1,28 @@
-//! The `svtox suite --sim-bench` micro-benchmark: packed word-level vs
-//! scalar reference Monte-Carlo throughput on the sim-heavy suite.
+//! The `svtox bench sim` measurement: packed word-level vs scalar
+//! reference Monte-Carlo throughput on the bench circuits.
 //!
 //! Both sides run the same estimator contract shape (chunked, seeded,
 //! leakage-accumulating); throughput is reported in vectors·gates per
 //! second so circuits of different size aggregate meaningfully. The
 //! aggregate speedup is the ratio of total-work/total-time across all
-//! measured circuits, which CI gates via `--min-speedup` and records to
-//! `results/BENCH_sim.json`.
+//! measured circuits; it is the headline [`Bench::Sim`]'s gate reads.
 
+use std::error::Error;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use svtox_cells::{Library, LibraryOptions};
+use svtox_check::random_average_leakage_scalar;
+use svtox_exec::ExecConfig;
 use svtox_netlist::generators::benchmark;
 use svtox_obs::json::Value;
-use svtox_sim::{random_average_leakage, random_average_leakage_scalar};
+use svtox_sim::random_average_leakage;
 use svtox_tech::Technology;
 
-use crate::CliError;
-
-/// Circuits the bench sweeps: small → medium so a run stays in CI budget
-/// while still covering a ~20× gate-count spread.
-const CIRCUITS: [&str; 3] = ["c432", "c880", "c1908"];
+use crate::bench::{num, obj, Bench, Record, CIRCUITS};
 
 /// Minimum wall-clock per measurement; repeats amortize timer noise.
 const MIN_MEASURE: Duration = Duration::from_millis(60);
-
-/// One circuit's measurement.
-#[derive(Debug, Clone)]
-pub struct SimBenchRow {
-    /// Benchmark name.
-    pub circuit: String,
-    /// Gate count (the work unit multiplier).
-    pub gates: usize,
-    /// Vectors per scalar estimator call.
-    pub scalar_vectors: usize,
-    /// Vectors per packed estimator call.
-    pub packed_vectors: usize,
-    /// Scalar throughput in vectors·gates per second.
-    pub scalar_rate: f64,
-    /// Packed throughput in vectors·gates per second.
-    pub packed_rate: f64,
-    /// `packed_rate / scalar_rate`.
-    pub speedup: f64,
-}
-
-/// The full sim-bench result.
-#[derive(Debug, Clone)]
-pub struct SimBenchReport {
-    /// Per-circuit measurements.
-    pub rows: Vec<SimBenchRow>,
-    /// Aggregate speedup: total packed work/time over total scalar
-    /// work/time.
-    pub speedup: f64,
-}
-
-impl SimBenchReport {
-    /// Human-readable table.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<8} {:>7} {:>16} {:>16} {:>9}\n",
-            "circuit", "gates", "scalar vg/s", "packed vg/s", "speedup"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<8} {:>7} {:>16.3e} {:>16.3e} {:>8.1}x\n",
-                r.circuit, r.gates, r.scalar_rate, r.packed_rate, r.speedup
-            ));
-        }
-        out.push_str(&format!("aggregate speedup: {:.1}x\n", self.speedup));
-        out
-    }
-
-    /// Deterministic-key JSON (the `results/BENCH_sim.json` schema).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let row = |r: &SimBenchRow| {
-            Value::Obj(
-                [
-                    ("circuit".to_string(), Value::Str(r.circuit.clone())),
-                    ("gates".to_string(), Value::Num(r.gates as f64)),
-                    (
-                        "scalar_vectors".to_string(),
-                        Value::Num(r.scalar_vectors as f64),
-                    ),
-                    (
-                        "packed_vectors".to_string(),
-                        Value::Num(r.packed_vectors as f64),
-                    ),
-                    (
-                        "scalar_vectors_gates_per_sec".to_string(),
-                        Value::Num(r.scalar_rate),
-                    ),
-                    (
-                        "packed_vectors_gates_per_sec".to_string(),
-                        Value::Num(r.packed_rate),
-                    ),
-                    ("speedup".to_string(), Value::Num(r.speedup)),
-                ]
-                .into_iter()
-                .collect(),
-            )
-        };
-        Value::Obj(
-            [
-                ("bench".to_string(), Value::Str("sim".to_string())),
-                (
-                    "unit".to_string(),
-                    Value::Str("vectors*gates/sec".to_string()),
-                ),
-                (
-                    "rows".to_string(),
-                    Value::Arr(self.rows.iter().map(row).collect()),
-                ),
-                ("aggregate_speedup".to_string(), Value::Num(self.speedup)),
-            ]
-            .into_iter()
-            .collect(),
-        )
-        .to_string()
-    }
-}
 
 /// Seconds per call of `f`, repeated until [`MIN_MEASURE`] has elapsed
 /// (one untimed warmup call first).
@@ -150,10 +50,9 @@ fn measure<F: FnMut()>(mut f: F) -> f64 {
 /// # Errors
 ///
 /// Returns an error if a benchmark circuit or the library fails to build.
-pub fn run_sim_bench(vectors: usize) -> Result<SimBenchReport, CliError> {
+pub fn run_sim_bench(vectors: usize) -> Result<Record, Box<dyn Error>> {
     let vectors = vectors.max(64);
-    let library = Library::new(Technology::predictive_65nm(), LibraryOptions::default())
-        .map_err(|e| CliError(e.to_string()))?;
+    let library = Library::new(Technology::predictive_65nm(), LibraryOptions::default())?;
     let scalar_vectors = (vectors / 16).max(64);
     let mut rows = Vec::new();
     let mut scalar_work = 0.0;
@@ -161,11 +60,17 @@ pub fn run_sim_bench(vectors: usize) -> Result<SimBenchReport, CliError> {
     let mut packed_work = 0.0;
     let mut packed_time = 0.0;
     for name in CIRCUITS {
-        let netlist = benchmark(name).map_err(|e| CliError(e.to_string()))?;
+        let netlist = benchmark(name)?;
         let gates = netlist.num_gates();
         let scalar_secs = measure(|| {
-            let avg = random_average_leakage_scalar(&netlist, &library, scalar_vectors, 42)
-                .expect("library covers the suite");
+            let avg = random_average_leakage_scalar(
+                &netlist,
+                &library,
+                scalar_vectors,
+                42,
+                &ExecConfig::serial(),
+            )
+            .expect("library covers the suite");
             black_box(avg);
         });
         let packed_secs = measure(|| {
@@ -179,50 +84,35 @@ pub fn run_sim_bench(vectors: usize) -> Result<SimBenchReport, CliError> {
         scalar_time += scalar_secs;
         packed_work += (vectors * gates) as f64;
         packed_time += packed_secs;
-        rows.push(SimBenchRow {
-            circuit: name.to_string(),
-            gates,
-            scalar_vectors,
-            packed_vectors: vectors,
-            scalar_rate,
-            packed_rate,
-            speedup: packed_rate / scalar_rate,
-        });
+        rows.push(obj([
+            ("circuit", Value::Str(name.to_string())),
+            ("gates", num(gates)),
+            ("scalar_vectors", num(scalar_vectors)),
+            ("packed_vectors", num(vectors)),
+            ("scalar_vectors_gates_per_sec", Value::Num(scalar_rate)),
+            ("packed_vectors_gates_per_sec", Value::Num(packed_rate)),
+            ("speedup", Value::Num(packed_rate / scalar_rate)),
+        ]));
     }
     let speedup = (packed_work / packed_time) / (scalar_work / scalar_time);
-    Ok(SimBenchReport { rows, speedup })
+    Ok(Record {
+        bench: Bench::Sim,
+        scalars: vec![
+            ("unit", Value::Str("vectors*gates/sec".to_string())),
+            ("aggregate_speedup", Value::Num(speedup)),
+        ],
+        rows,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::tests::{assert_renders, assert_schema, field};
 
     #[test]
     fn report_renders_parseable_json_with_all_rows() {
-        let report = SimBenchReport {
-            rows: vec![SimBenchRow {
-                circuit: "c432".to_string(),
-                gates: 160,
-                scalar_vectors: 256,
-                packed_vectors: 4096,
-                scalar_rate: 1.0e6,
-                packed_rate: 3.0e7,
-                speedup: 30.0,
-            }],
-            speedup: 30.0,
-        };
-        let json = report.render_json();
-        let parsed = svtox_obs::json::parse(&json).unwrap();
-        assert_eq!(
-            parsed.get("aggregate_speedup").and_then(Value::as_f64),
-            Some(30.0)
-        );
-        let Some(Value::Arr(rows)) = parsed.get("rows") else {
-            panic!("rows missing");
-        };
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("circuit").and_then(Value::as_str), Some("c432"));
-        assert!(report.render_text().contains("aggregate speedup"));
+        assert_renders(Bench::Sim, 30.0, "aggregate_speedup: 30");
     }
 
     #[test]
@@ -230,12 +120,14 @@ mod tests {
         // Smallest legal size: mostly a smoke test that both estimator
         // paths run and produce positive rates (the ≥10× CI gate runs in
         // release via ci.sh, not here).
-        let report = run_sim_bench(64).unwrap();
-        assert_eq!(report.rows.len(), CIRCUITS.len());
-        for row in &report.rows {
-            assert!(row.scalar_rate > 0.0 && row.packed_rate > 0.0);
-            assert!(row.speedup > 1.0, "{}: {}x", row.circuit, row.speedup);
+        let record = run_sim_bench(64).unwrap();
+        assert_schema(&record);
+        assert_eq!(record.rows.len(), CIRCUITS.len());
+        for row in &record.rows {
+            assert!(field(row, "scalar_vectors_gates_per_sec") > 0.0);
+            assert!(field(row, "packed_vectors_gates_per_sec") > 0.0);
+            assert!(field(row, "speedup") > 1.0, "{row}");
         }
-        assert!(report.speedup > 1.0);
+        assert!(record.headline().0 > 1.0);
     }
 }

@@ -1,6 +1,8 @@
 //! Logic simulation for standby-state analysis.
 //!
-//! Three engines, all built on the `svtox-netlist` IR:
+//! Four simulators (two- and three-valued, each as an event-driven scalar
+//! engine and a 64-lane packed one) and two leakage estimators, all built
+//! on the `svtox-netlist` IR:
 //!
 //! * [`Simulator`] — two-valued, event-driven. Gives every gate's input
 //!   state for a candidate standby vector; single-input flips re-evaluate
@@ -57,7 +59,5 @@ pub use random::{
     random_average_leakage, random_average_leakage_parallel, vector_leakage, vector_leakage_batch,
     LeakageTotals, CHUNK_SIZE,
 };
-#[cfg(feature = "scalar-ref")]
-pub use random::{random_average_leakage_scalar, random_average_leakage_scalar_parallel};
 pub use tri::TriSimulator;
 pub use two::Simulator;

@@ -21,10 +21,9 @@
 //! bit-identical at any thread count.
 //!
 //! This contract supersedes the original scalar one (one `gen_bool(0.5)`
-//! per input per vector). The scalar path survives verbatim behind the
-//! `scalar-ref` feature as [`random_average_leakage_scalar`] /
-//! [`random_average_leakage_scalar_parallel`]; its per-seed estimates are
-//! pinned by regression tests so the historical numbers stay reproducible.
+//! per input per vector). The scalar estimator survives verbatim as the
+//! differential oracle `svtox_check::random_average_leakage_scalar`, with
+//! its per-seed estimates pinned there.
 //!
 //! Per-gate leakage is accumulated per word with a state-mask sweep: for a
 //! gate of arity `a`, each input state `s ∈ 0..2^a` selects the lanes
@@ -40,8 +39,6 @@ use svtox_obs::Obs;
 use svtox_tech::Current;
 
 use crate::packed::{PackedSimulator, PackedVec, LANES};
-#[cfg(feature = "scalar-ref")]
-use crate::two::Simulator;
 
 /// Number of vectors per independently-seeded sampling chunk.
 ///
@@ -345,101 +342,6 @@ pub fn random_average_leakage_parallel(
     })
 }
 
-/// Scalar reference estimator: the pre-packed Monte-Carlo baseline,
-/// preserved verbatim (draw contract, evaluation order, float summation)
-/// behind the `scalar-ref` feature.
-///
-/// Per-seed estimates of this path are pinned by regression tests; the
-/// sim-bench and the differential oracles use it as the ground truth the
-/// packed path is measured and checked against.
-///
-/// # Errors
-///
-/// Returns an error if the netlist uses a gate kind absent from the library.
-#[cfg(feature = "scalar-ref")]
-pub fn random_average_leakage_scalar(
-    netlist: &Netlist,
-    library: &Library,
-    num_vectors: usize,
-    seed: u64,
-) -> Result<LeakageTotals, LibraryError> {
-    random_average_leakage_scalar_parallel(
-        netlist,
-        library,
-        num_vectors,
-        seed,
-        &ExecConfig::serial(),
-        Obs::disabled_ref(),
-    )
-}
-
-/// [`random_average_leakage_scalar`] spread over the workers of `exec` —
-/// the original one-vector-at-a-time chunk loop, bit-identical at any
-/// thread count under the *scalar* draw contract (one `gen_bool(0.5)` per
-/// input per vector).
-///
-/// # Errors
-///
-/// Returns an error if the netlist uses a gate kind absent from the library.
-#[cfg(feature = "scalar-ref")]
-pub fn random_average_leakage_scalar_parallel(
-    netlist: &Netlist,
-    library: &Library,
-    num_vectors: usize,
-    seed: u64,
-    exec: &ExecConfig,
-    obs: &Obs,
-) -> Result<LeakageTotals, LibraryError> {
-    assert!(num_vectors > 0, "need at least one vector");
-    let cells: Vec<_> = netlist
-        .gates()
-        .map(|(_, g)| library.cell(g.kind()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let _span = obs.span("sim.random_average");
-    let num_chunks = num_vectors.div_ceil(CHUNK_SIZE);
-    let (partials, _stats) = map_tasks(
-        exec,
-        num_chunks,
-        &Budget::unlimited(),
-        obs,
-        |_worker| (Simulator::new(netlist), vec![false; netlist.num_inputs()]),
-        |(sim, vector), chunk, _ws| {
-            let start = chunk * CHUNK_SIZE;
-            let end = (start + CHUNK_SIZE).min(num_vectors);
-            let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(seed, chunk as u64));
-            let mut sum_isub = 0.0;
-            let mut sum_igate = 0.0;
-            for _ in start..end {
-                for v in vector.iter_mut() {
-                    *v = rng.gen_bool(0.5);
-                }
-                sim.set_inputs(vector);
-                for ((gid, _), cell) in netlist.gates().zip(&cells) {
-                    let split = cell.leakage_breakdown(cell.fast_version(), sim.gate_state(gid));
-                    sum_isub += split.isub.value();
-                    sum_igate += split.igate.value();
-                }
-            }
-            Some((sum_isub, sum_igate))
-        },
-    )
-    .expect("sampling tasks do not panic");
-    obs.add("sim.vectors_sampled", num_vectors as u64);
-    let mut sum_isub = 0.0;
-    let mut sum_igate = 0.0;
-    for (isub, igate) in partials.into_iter().flatten() {
-        sum_isub += isub;
-        sum_igate += igate;
-    }
-    let isub = Current::new(sum_isub / num_vectors as f64);
-    let igate = Current::new(sum_igate / num_vectors as f64);
-    Ok(LeakageTotals {
-        total: isub + igate,
-        isub,
-        igate,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,74 +499,5 @@ mod tests {
         let b = random_average_leakage(&n, &lib, 400, 13).unwrap().total;
         let rel = (a.value() - b.value()).abs() / a.value();
         assert!(rel < 0.05, "two 400-vector estimates differ by {rel}");
-    }
-
-    /// The scalar reference must keep producing the exact pre-packed
-    /// numbers: these f64 bit patterns were captured from the original
-    /// scalar implementation before the word-level path landed.
-    #[cfg(feature = "scalar-ref")]
-    #[test]
-    fn scalar_reference_estimates_are_pinned() {
-        let lib = library();
-        let cases: [(&str, usize, u64, u64, u64); 4] = [
-            (
-                "c432",
-                500,
-                42,
-                0x40df_5e9f_bdc7_083f,
-                0x40d0_e1cf_e148_b0d3,
-            ),
-            ("c432", 300, 5, 0x40df_691e_f412_474f, 0x40d0_ec3b_a213_7b83),
-            ("c880", 300, 5, 0x40f0_0885_b28e_8571, 0x40e0_abab_4d59_bc8d),
-            ("c432", 100, 7, 0x40df_415e_d669_f81c, 0x40d0_f6b1_09a0_d189),
-        ];
-        for (name, vectors, seed, isub_bits, igate_bits) in cases {
-            let n = benchmark(name).unwrap();
-            let avg = random_average_leakage_scalar(&n, &lib, vectors, seed).unwrap();
-            assert_eq!(
-                avg.isub.value().to_bits(),
-                isub_bits,
-                "{name}/{vectors}/{seed} isub"
-            );
-            assert_eq!(
-                avg.igate.value().to_bits(),
-                igate_bits,
-                "{name}/{vectors}/{seed} igate"
-            );
-        }
-    }
-
-    #[cfg(feature = "scalar-ref")]
-    #[test]
-    fn scalar_parallel_estimate_is_thread_count_invariant() {
-        let lib = library();
-        let n = benchmark("c432").unwrap();
-        let serial = random_average_leakage_scalar(&n, &lib, 600, 9).unwrap();
-        for threads in [2, 4, 8] {
-            let par = random_average_leakage_scalar_parallel(
-                &n,
-                &lib,
-                600,
-                9,
-                &ExecConfig::with_threads(threads),
-                Obs::disabled_ref(),
-            )
-            .unwrap();
-            assert_eq!(serial, par, "threads={threads}");
-        }
-    }
-
-    /// The packed path deliberately uses a different draw contract, so the
-    /// two estimators agree statistically but not bit-for-bit.
-    #[cfg(feature = "scalar-ref")]
-    #[test]
-    fn packed_and_scalar_estimates_agree_statistically() {
-        let lib = library();
-        let n = benchmark("c432").unwrap();
-        let packed = random_average_leakage(&n, &lib, 500, 42).unwrap();
-        let scalar = random_average_leakage_scalar(&n, &lib, 500, 42).unwrap();
-        assert_ne!(packed, scalar, "draw contracts are distinct by design");
-        let rel = (packed.total.value() - scalar.total.value()).abs() / scalar.total.value();
-        assert!(rel < 0.05, "packed vs scalar differ by {rel}");
     }
 }
